@@ -23,7 +23,9 @@
 //   - Server (server.go) — the HTTP front: GET /distance, /path,
 //     /stretch (query parameters u, v), plus /info, /stats and /healthz.
 //     Shutdown stops accepting, waits for in-flight handlers (and thus
-//     their batches), then closes the batcher — no query is dropped.
+//     their batches), then closes the batcher — no accepted query is
+//     dropped. Connections not yet accepted when Shutdown starts are
+//     refused.
 //
 // Determinism contract: a served answer is a pure function of (network,
 // query). The batcher only changes which sweep computes an answer, never

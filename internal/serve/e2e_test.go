@@ -61,15 +61,19 @@ func TestEndToEndLoadgen(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainsInFlightBatches parks queries inside a long batch
-// window, shuts the server down mid-flight, and requires every accepted
+// TestShutdownDrainsInFlightBatches waits until every request has been
+// accepted and reached its handler, shuts the server down while the last
+// batch is still parked in the batcher, and requires every accepted
 // request to complete with a correct answer — Shutdown must wait for
-// the batcher, not abandon it.
+// the batcher, not abandon it. Connections not yet accepted when
+// Shutdown starts are refused by contract, so the test never races the
+// accept loop.
 func TestShutdownDrainsInFlightBatches(t *testing.T) {
 	const n, inflight = 64, 30
 	nw := spannerNetwork(t, n, 13)
-	// A long window guarantees the requests are still parked in the
-	// batcher when Shutdown lands.
+	// The wait below first ensures every request was accepted; the long
+	// window then only keeps the last batch parked in the batcher while
+	// Shutdown lands.
 	srv := NewServer(nw, Options{Batch: BatcherOptions{Window: 50 * time.Millisecond, MaxBatch: 1 << 20}})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -112,18 +116,18 @@ func TestShutdownDrainsInFlightBatches(t *testing.T) {
 		}(q)
 	}
 
-	// Let the requests reach the batcher, then shut down while the 50ms
-	// window is still open.
+	// Wait until every request has been accepted and reached its handler
+	// (each handler does exactly one cache lookup), then shut down while
+	// the last arrival's 50ms window is still open.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.batcher.Stats().Queries == 0 {
-		srv.batcher.mu.Lock()
-		pending := len(srv.batcher.pending)
-		srv.batcher.mu.Unlock()
-		if pending > 0 {
+	for {
+		st := srv.Stats()
+		arrived := st.CacheHits + st.CacheMisses
+		if arrived == inflight {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("requests never reached the batcher")
+			t.Fatalf("only %d of %d requests reached a handler", arrived, inflight)
 		}
 		time.Sleep(time.Millisecond)
 	}
