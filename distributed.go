@@ -72,8 +72,8 @@ func DistributedSLT(g *Graph, root Vertex, eps float64, seed int64) (*SLTResult,
 }
 
 // DistributedLightSpanner builds the §5 light spanner entirely as
-// engine message passing: the Borůvka MST, the MST-weight funnel and
-// flood that anchor the weight buckets, and every bucket's Baswana-Sen
+// engine message passing: the Borůvka MST, the MST-weight convergecast
+// and flood that anchor the weight buckets, and every bucket's Baswana-Sen
 // clustering run as per-vertex programs on one pipeline (see
 // internal/congest.Pipeline). The returned statistics are measured per
 // stage; the spanner is bit-identical to BuildLightSpanner's accounted

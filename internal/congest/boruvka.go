@@ -232,14 +232,6 @@ func (p *boruvkaProgram) PhaseDone(ctx *Ctx) bool {
 	return false
 }
 
-// BoruvkaFactory returns the per-vertex Borůvka MST program factory for
-// use as a Pipeline stage. inTree must have length M; the program sets
-// the slots of the adopted tree edges. Stage round budget should be
-// ~16n (see RunBoruvka's MaxRounds).
-func BoruvkaFactory(inTree []bool) func(graph.Vertex) Program {
-	return func(graph.Vertex) Program { return &boruvkaProgram{inTree: inTree} }
-}
-
 // RunBoruvka computes the MST of g with the distributed Borůvka program
 // and returns the tree edge ids. The measured rounds are
 // O(Σ_iterations fragment-diameter) plus phase barriers; phaseSyncCost

@@ -11,8 +11,11 @@
 //     size) and accounts rounds and messages. The elementary distributed
 //     algorithms of the paper (BFS trees, pipelined broadcast — Lemma 1,
 //     convergecast, Bellman-Ford, Borůvka fragments, Luby MIS, the
-//     [EN17b] unweighted spanner) run on this engine. Rounds execute on
-//     a deterministic worker pool (Options.Workers): within a round the
+//     [EN17b] unweighted spanner) run on this engine. The convergecast
+//     (convergecast.go, CastPass) runs passes of an integer max or sum
+//     up a rooted tree in O(D) rounds; its result does not depend on the
+//     tree's shape or on arrival order. Rounds execute on a
+//     deterministic worker pool (Options.Workers): within a round the
 //     handlers of distinct vertices are independent by construction, so
 //     the engine shards them across workers and merges the buffered
 //     outgoing messages in canonical vertex order — the results are

@@ -157,3 +157,44 @@ func TestPipelinePerStageBudgetIndependent(t *testing.T) {
 		t.Fatalf("want 5 stages, got %d", got)
 	}
 }
+
+func TestFloodWordFactory(t *testing.T) {
+	g := graph.Grid(8, 8, 4, 2)
+	n := g.N()
+	pipe := NewPipeline(g, Options{Seed: 1})
+	var pools StagePools
+	out := make([]int64, n)
+	stats, err := pipe.RunStage("flood", pools.FloodWord(n, 5, 424242, out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, w := range out {
+		if w != 424242 {
+			t.Fatalf("vertex %d got %d", v, w)
+		}
+	}
+	if stats.Rounds > 2*n {
+		t.Fatalf("flood took %d rounds", stats.Rounds)
+	}
+	// Restricted to a spanning tree the flood still reaches everyone.
+	parent := make([]graph.EdgeID, n)
+	depth := make([]int32, n)
+	if _, err := pipe.RunStage("bfs", pools.BFS(n, 0, parent, depth)); err != nil {
+		t.Fatal(err)
+	}
+	tree := make([]bool, g.M())
+	for _, e := range parent {
+		if e != graph.NoEdge {
+			tree[e] = true
+		}
+	}
+	out2 := make([]int64, n)
+	if _, err := pipe.RunStage("flood-tree", pools.FloodWord(n, 0, 7, out2), Restrict(tree)); err != nil {
+		t.Fatal(err)
+	}
+	for v, w := range out2 {
+		if w != 7 {
+			t.Fatalf("restricted flood: vertex %d got %d", v, w)
+		}
+	}
+}

@@ -44,22 +44,22 @@ func (sp *StagePool[P]) Slots(n int) []P {
 }
 
 // StagePools bundles pooled per-vertex state for the engine-owned stage
-// programs (Borůvka MST, BFS tree, tuple funnel, word flood). A
+// programs (Borůvka MST, BFS tree, convergecast, word flood). A
 // measured pipeline allocates one StagePools next to its
-// congest.Pipeline and builds stage factories from its methods instead
-// of the package-level *Factory functions: same programs, same
-// bit-identical outputs, but each stage reuses the previous stage's
-// program slice and per-vertex scratch instead of allocating n fresh
-// objects.
+// congest.Pipeline and builds its stage factories from its methods, so
+// each stage reuses the previous stage's program slice and per-vertex
+// scratch instead of allocating n fresh objects.
 type StagePools struct {
 	boruvka StagePool[boruvkaProgram]
 	bfs     StagePool[bfsProgram]
-	funnel  StagePool[funnelProgram]
+	cast    StagePool[convergecastProgram]
 	flood   StagePool[floodWordProgram]
 }
 
-// Boruvka is the pooled counterpart of BoruvkaFactory for a graph of n
-// vertices.
+// Boruvka is the Borůvka MST stage for a graph of n vertices. inTree
+// must have length M; the program sets the slots of the adopted tree
+// edges. The stage's round budget should be ~16n (see RunBoruvka's
+// MaxRounds).
 func (sp *StagePools) Boruvka(n int, inTree []bool) func(graph.Vertex) Program {
 	slots := sp.boruvka.Slots(n)
 	return func(v graph.Vertex) Program {
@@ -74,8 +74,12 @@ func (sp *StagePools) Boruvka(n int, inTree []bool) func(graph.Vertex) Program {
 	}
 }
 
-// BFS is the pooled counterpart of BFSFactory for a graph of n
-// vertices.
+// BFS is the BFS-tree stage for a graph of n vertices: layered
+// flooding from root, writing each vertex's parent edge (NoEdge at the
+// root and unreachable vertices) and hop depth (-1 if unreachable) into
+// the shared slices (length N). Under Restrict the flood stays inside
+// the stage's subgraph — restricted to a spanning tree's edges it roots
+// that tree, the parent being unique.
 func (sp *StagePools) BFS(n int, root graph.Vertex, parent []graph.EdgeID, depth []int32) func(graph.Vertex) Program {
 	slots := sp.bfs.Slots(n)
 	return func(v graph.Vertex) Program {
@@ -85,23 +89,23 @@ func (sp *StagePools) BFS(n int, root graph.Vertex, parent []graph.EdgeID, depth
 	}
 }
 
-// Funnel is the pooled counterpart of FunnelFactory for a graph of n
-// vertices.
-func (sp *StagePools) Funnel(n int, root graph.Vertex, parent []graph.EdgeID, width int, initial [][]int64, sink *[]int64) func(graph.Vertex) Program {
-	slots := sp.funnel.Slots(n)
+// Convergecast is the convergecast stage (see CastPass) over the rooted
+// tree given by parent, for a graph of n vertices: the root writes the
+// result of pass i to result[i].
+func (sp *StagePools) Convergecast(n int, root graph.Vertex, parent []graph.EdgeID, passes []CastPass, result []int64) func(graph.Vertex) Program {
+	slots := sp.cast.Slots(n)
 	return func(v graph.Vertex) Program {
 		p := &slots[v]
-		*p = funnelProgram{
-			root: root, parent: parent, width: width,
-			initial: initial, sink: sink,
-			queue: p.queue[:0],
-		}
+		*p = convergecastProgram{root: root, parent: parent, passes: passes, result: result, kids: p.kids[:0]}
 		return p
 	}
 }
 
-// FloodWord is the pooled counterpart of FloodWordFactory for a graph
-// of n vertices.
+// FloodWord is the stage that floods a single word from src to every
+// vertex of a graph of n vertices, storing it in out (length N, written
+// at every reached vertex including src). The measured pipelines use
+// it to fix globally known scalars — e.g. the §5 bucket anchor L — in
+// O(D) real rounds.
 func (sp *StagePools) FloodWord(n int, src graph.Vertex, word int64, out []int64) func(graph.Vertex) Program {
 	slots := sp.flood.Slots(n)
 	return func(v graph.Vertex) Program {

@@ -9,11 +9,12 @@ import (
 
 // This file contains the elementary CONGEST programs: BFS-tree
 // construction, flood-min (leader election), pipelined all-to-all
-// broadcast (Lemma 1), and convergecast aggregation. Each Run* wrapper
-// allocates shared result slices, instantiates per-vertex programs that
-// write into them (each vertex writes only its own slot, so this is
-// race-free under the parallel engine), runs the engine, and returns
-// results plus measured statistics.
+// broadcast (Lemma 1) and word flooding; the convergecast is in
+// convergecast.go. Each Run* wrapper allocates shared result slices,
+// instantiates per-vertex programs that write into them (each vertex
+// writes only its own slot, so this is race-free under the parallel
+// engine), runs the engine, and returns results plus measured
+// statistics.
 
 // bfsProgram builds a BFS tree by layered flooding: O(D) rounds.
 type bfsProgram struct {
@@ -50,18 +51,6 @@ func (p *bfsProgram) Handle(ctx *Ctx, inbox []Message) {
 		if err := ctx.Broadcast(int64(p.depth[v])); err != nil {
 			ctx.Fail(err)
 		}
-	}
-}
-
-// BFSFactory returns the per-vertex BFS-tree program factory for use as
-// a Pipeline stage: layered flooding from root, writing each vertex's
-// parent edge (NoEdge at the root and unreachable vertices) and hop
-// depth (-1 if unreachable) into the shared slices (length N). Under
-// Restrict the flood stays inside the stage's subgraph — restricted to
-// a spanning tree's edges it roots that tree, the parent being unique.
-func BFSFactory(root graph.Vertex, parent []graph.EdgeID, depth []int32) func(graph.Vertex) Program {
-	return func(graph.Vertex) Program {
-		return &bfsProgram{root: root, depth: depth, parent: parent}
 	}
 }
 
@@ -202,205 +191,6 @@ func RunBroadcastAll(g *graph.Graph, tokens map[graph.Vertex][]int64, seed int64
 	return received, stats, err
 }
 
-// convergecastProgram aggregates the sum of per-vertex values to the
-// root over a BFS tree. Three message-driven stages: BFS flooding, child
-// announcement, then bottom-up aggregation; the stages are separated by
-// engine phase barriers.
-type convergecastProgram struct {
-	root   graph.Vertex
-	values []int64
-	sum    []int64 // shared; sum[root] is the result
-
-	stage    int
-	depth    int32
-	parent   graph.EdgeID
-	children int
-	pending  int
-	acc      int64
-	sent     bool
-}
-
-const (
-	ccStageBFS = iota
-	ccStageAnnounce
-	ccStageAggregate
-	ccStageDone
-)
-
-func (p *convergecastProgram) Init(ctx *Ctx) {
-	p.depth = -1
-	p.parent = graph.NoEdge
-	p.acc = p.values[ctx.V()]
-	if ctx.V() == p.root {
-		p.depth = 0
-		if err := ctx.Broadcast(0); err != nil {
-			ctx.Fail(err)
-		}
-	}
-}
-
-func (p *convergecastProgram) Handle(ctx *Ctx, inbox []Message) {
-	switch p.stage {
-	case ccStageBFS:
-		improved := false
-		for _, m := range inbox {
-			if d := int32(m.Words[0]) + 1; p.depth < 0 || d < p.depth {
-				p.depth = d
-				p.parent = m.Via
-				improved = true
-			}
-		}
-		if improved {
-			if err := ctx.Broadcast(int64(p.depth)); err != nil {
-				ctx.Fail(err)
-			}
-		}
-	case ccStageAnnounce:
-		p.children += len(inbox)
-		p.pending = p.children
-	case ccStageAggregate:
-		for _, m := range inbox {
-			p.acc += m.Words[0]
-			p.pending--
-		}
-		p.maybeSendUp(ctx)
-	}
-}
-
-func (p *convergecastProgram) maybeSendUp(ctx *Ctx) {
-	if p.pending > 0 || p.sent {
-		return
-	}
-	if ctx.V() == p.root {
-		p.sum[p.root] = p.acc
-		return
-	}
-	p.sent = true
-	if err := ctx.Send(p.parent, p.acc); err != nil {
-		ctx.Fail(err)
-	}
-}
-
-func (p *convergecastProgram) PhaseDone(ctx *Ctx) bool {
-	switch p.stage {
-	case ccStageBFS:
-		p.stage = ccStageAnnounce
-		if ctx.V() != p.root && p.parent != graph.NoEdge {
-			if err := ctx.Send(p.parent); err != nil {
-				ctx.Fail(err)
-			}
-		}
-		return true
-	case ccStageAnnounce:
-		p.stage = ccStageAggregate
-		p.pending = p.children
-		p.maybeSendUp(ctx)
-		return true
-	case ccStageAggregate:
-		p.stage = ccStageDone
-		return false
-	}
-	return false
-}
-
-// RunConvergecastSum aggregates Σ values to the root over a BFS tree and
-// returns the sum. Measured rounds are O(D) plus two phase barriers.
-func RunConvergecastSum(g *graph.Graph, root graph.Vertex, values []int64, seed int64) (int64, Stats, error) {
-	sum := make([]int64, g.N())
-	eng := NewEngine(g, func(graph.Vertex) Program {
-		return &convergecastProgram{root: root, values: values, sum: sum}
-	}, Options{Seed: seed, PhaseSyncCost: 0})
-	stats, err := eng.Run()
-	return sum[root], stats, err
-}
-
-// funnelProgram routes fixed-width tuples to a root along a parent
-// forest (typically a BFS tree), one tuple per edge per round — the
-// Lemma 1 convergecast pipelining: M tuples arrive within O(M + depth)
-// rounds. Tuples accumulate at the root in delivery order, which the
-// engine makes canonical (independent of worker scheduling); callers
-// needing a specific order sort the sink afterwards.
-type funnelProgram struct {
-	NoPhases
-	root   graph.Vertex
-	parent []graph.EdgeID
-	width  int
-	// initial[v] holds v's own tuples, flattened (len a multiple of
-	// width); sink collects everything at the root (root-only write).
-	initial [][]int64
-	sink    *[]int64
-	// queue[head:] is the backlog of buffered tuple words. Consuming via
-	// a head index (instead of re-slicing queue forward) keeps the
-	// backing array reusable: re-slicing would pin the consumed prefix
-	// while forcing every append to grow a fresh tail — the dominant
-	// allocation of the measured spanner pipeline before the fix.
-	queue []int64
-	head  int
-}
-
-func (p *funnelProgram) Init(ctx *Ctx) {
-	v := ctx.V()
-	if own := p.initial[v]; len(own) > 0 {
-		if v == p.root {
-			*p.sink = append(*p.sink, own...)
-		} else {
-			p.queue = append(p.queue, own...)
-		}
-	}
-	p.pump(ctx)
-}
-
-func (p *funnelProgram) Handle(ctx *Ctx, inbox []Message) {
-	v := ctx.V()
-	for _, m := range inbox {
-		if v == p.root {
-			*p.sink = append(*p.sink, m.Words...)
-		} else {
-			p.queue = append(p.queue, m.Words...)
-		}
-	}
-	p.pump(ctx)
-}
-
-func (p *funnelProgram) pump(ctx *Ctx) {
-	v := ctx.V()
-	if v == p.root || p.head == len(p.queue) {
-		return
-	}
-	e := p.parent[v]
-	if e == graph.NoEdge {
-		ctx.Fail(errors.New("congest: funnel vertex with tuples but no parent"))
-		return
-	}
-	if err := ctx.Send(e, p.queue[p.head:p.head+p.width]...); err != nil {
-		ctx.Fail(err)
-		return
-	}
-	p.head += p.width
-	if p.head == len(p.queue) {
-		p.queue, p.head = p.queue[:0], 0
-	} else if p.head >= 64 && p.head*2 >= len(p.queue) {
-		// Amortized compaction: once the consumed prefix dominates,
-		// shift the backlog down so appends reuse the array.
-		n := copy(p.queue, p.queue[p.head:])
-		p.queue, p.head = p.queue[:n], 0
-	}
-	if p.head < len(p.queue) {
-		ctx.Stay()
-	}
-}
-
-// FunnelFactory returns a pipeline-stage factory that routes every
-// vertex's fixed-width tuples (initial[v], flattened) to root along the
-// given parent forest and appends them — flattened, in canonical
-// delivery order — to *sink. width must be at most the engine's
-// MaxWords. Measured rounds are O(total tuples + tree depth).
-func FunnelFactory(root graph.Vertex, parent []graph.EdgeID, width int, initial [][]int64, sink *[]int64) func(graph.Vertex) Program {
-	return func(graph.Vertex) Program {
-		return &funnelProgram{root: root, parent: parent, width: width, initial: initial, sink: sink}
-	}
-}
-
 // floodWordProgram floods one word from src to every vertex: each vertex
 // stores the first copy it receives and re-broadcasts once. O(D) rounds,
 // at most 2M messages. Under Restrict the flood stays inside the stage's
@@ -431,17 +221,6 @@ func (p *floodWordProgram) Handle(ctx *Ctx, inbox []Message) {
 	p.out[ctx.V()] = inbox[0].Words[0]
 	if err := ctx.Broadcast(p.out[ctx.V()]); err != nil {
 		ctx.Fail(err)
-	}
-}
-
-// FloodWordFactory returns a pipeline-stage factory that floods a single
-// word from src to all vertices, storing it in out (length N, written at
-// every reached vertex including src). The Measured pipelines use it to
-// fix globally known scalars — e.g. the MST weight that anchors the §5
-// weight buckets — in O(D) real rounds.
-func FloodWordFactory(src graph.Vertex, word int64, out []int64) func(graph.Vertex) Program {
-	return func(graph.Vertex) Program {
-		return &floodWordProgram{src: src, word: word, out: out}
 	}
 }
 

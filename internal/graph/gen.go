@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -632,12 +631,4 @@ func EstimateDoublingDimension(g *Graph, samples int, seed int64) float64 {
 		}
 	}
 	return math.Log2(float64(maxCover))
-}
-
-// DescribeGraph returns a one-line human-readable summary, used by the
-// CLI tools.
-func DescribeGraph(name string, g *Graph) string {
-	minW, maxW := g.MinMaxWeight()
-	return fmt.Sprintf("%s: n=%d m=%d w∈[%.3g,%.3g] hopDiam≈%d",
-		name, g.N(), g.M(), minW, maxW, g.HopDiameterApprox())
 }

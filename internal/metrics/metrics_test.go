@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"lightnet/internal/graph"
@@ -52,6 +53,68 @@ func TestEdgeStretchDisconnected(t *testing.T) {
 	}
 }
 
+// fullSearchEdgeStretch is EdgeStretch with one unbounded Dijkstra per
+// source: the reference the early-stopping searches must reproduce.
+func fullSearchEdgeStretch(g, h *graph.Graph) (maxStretch, meanStretch float64) {
+	var sum float64
+	var count int
+	maxStretch = 1
+	for u := 0; u < g.N(); u++ {
+		dist := h.Dijkstra(graph.Vertex(u)).Dist
+		for _, e := range g.Edges() {
+			if int(e.U) != u {
+				continue
+			}
+			s := math.Max(dist[e.V]/e.W, 1)
+			maxStretch = math.Max(maxStretch, s)
+			sum += s
+			count++
+		}
+	}
+	return maxStretch, sum / float64(count)
+}
+
+// TestEdgeStretchMatchesFullSearches: on random graphs and spanners
+// (an MST plus a random share of the other edges, parallel edges and
+// weights over six orders of magnitude included), max and mean stretch
+// are bit-identical to those of full Dijkstra searches.
+func TestEdgeStretchMatchesFullSearches(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 20 + rng.Intn(120)
+		base := graph.ErdosRenyi(n, 3/float64(n)+rng.Float64()*0.1, 10, seed)
+		g := graph.New(n)
+		for _, e := range base.Edges() {
+			g.MustAddEdge(e.U, e.V, e.W*math.Pow(10, float64(rng.Intn(7)-3)))
+			if rng.Intn(10) == 0 {
+				g.MustAddEdge(e.V, e.U, e.W*rng.Float64()*2)
+			}
+		}
+		for v := 1; v < n; v++ {
+			g.MustAddEdge(graph.Vertex(rng.Intn(v)), graph.Vertex(v), 1+rng.Float64()*100)
+		}
+		keep, _, err := mst.Kruskal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		share := rng.Float64()
+		for id := 0; id < g.M(); id++ {
+			if rng.Float64() < share {
+				keep = append(keep, graph.EdgeID(id))
+			}
+		}
+		h := g.Subgraph(keep)
+		gotMax, gotMean, err := EdgeStretch(g, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMax, wantMean := fullSearchEdgeStretch(g, h)
+		if math.Float64bits(gotMax) != math.Float64bits(wantMax) || math.Float64bits(gotMean) != math.Float64bits(wantMean) {
+			t.Fatalf("seed %d: got (%v, %v), full searches give (%v, %v)", seed, gotMax, gotMean, wantMax, wantMean)
+		}
+	}
+}
+
 func TestPairStretch(t *testing.T) {
 	g := graph.Grid(6, 6, 2, 3)
 	edges, _, err := mst.Kruskal(g)
@@ -59,10 +122,14 @@ func TestPairStretch(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := g.Subgraph(edges)
-	maxS, meanS, err := PairStretch(g, h, 60, 1)
+	st, err := PairStretchStats(g, h, 60, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st.Exact || st.Pairs == 0 {
+		t.Fatalf("want a 60-pair sample, got exact=%v pairs=%d", st.Exact, st.Pairs)
+	}
+	maxS, meanS := st.Max, st.Mean
 	if maxS < 1 || meanS < 1 || meanS > maxS {
 		t.Fatalf("pair stretch %v/%v", maxS, meanS)
 	}

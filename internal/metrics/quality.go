@@ -8,11 +8,10 @@ import (
 	"lightnet/internal/graph"
 )
 
-// Pair-sampled stretch with a deterministic sampler. PairStretch (the
-// older estimator) draws pairs from math/rand and reports only max and
-// mean; the quality gate needs tail statistics whose exact value is a
-// pure function of (graphs, pairs, seed) so they can be committed to
-// BENCH_quality.json and diffed exactly. The sampler here is a splitmix64
+// Pair-sampled stretch with a deterministic sampler. The quality gate
+// needs tail statistics whose exact value is a pure function of
+// (graphs, pairs, seed) so they can be committed to BENCH_quality.json
+// and diffed exactly. The sampler here is a splitmix64
 // counter stream — no RNG state, no library dependence — and small
 // graphs are promoted to the exact all-pairs computation, so reported
 // numbers are reproducible bit for bit on every platform.

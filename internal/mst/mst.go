@@ -73,33 +73,13 @@ func (u *UnionFind) Same(a, b int32) bool { return u.Find(a) == u.Find(b) }
 // edge id, making the MST unique and consistent with the distributed
 // Borůvka construction.
 func Kruskal(g *graph.Graph) ([]graph.EdgeID, float64, error) {
-	ids := make([]graph.EdgeID, g.M())
-	for i := range ids {
-		ids[i] = graph.EdgeID(i)
-	}
-	edges := g.Edges()
-	sort.Slice(ids, func(a, b int) bool {
-		ea, eb := edges[ids[a]], edges[ids[b]]
-		if ea.W != eb.W {
-			return ea.W < eb.W
-		}
-		return ids[a] < ids[b]
-	})
-	uf := NewUnionFind(g.N())
-	out := make([]graph.EdgeID, 0, g.N()-1)
-	var total float64
-	for _, id := range ids {
-		e := edges[id]
-		if uf.Union(int32(e.U), int32(e.V)) {
-			out = append(out, id)
-			total += e.W
-			if len(out) == g.N()-1 {
-				break
-			}
-		}
-	}
-	if len(out) != g.N()-1 && g.N() > 1 {
+	out, trees := KruskalSubset(g, nil)
+	if trees > 1 {
 		return nil, 0, ErrDisconnected
+	}
+	var total float64
+	for _, id := range out {
+		total += g.Edge(id).W
 	}
 	return out, total, nil
 }
@@ -118,6 +98,23 @@ func KruskalSubset(g *graph.Graph, allowed []bool) ([]graph.EdgeID, int) {
 			ids = append(ids, graph.EdgeID(i))
 		}
 	}
+	sortByWeight(g, ids)
+	uf := NewUnionFind(g.N())
+	out := make([]graph.EdgeID, 0, max(g.N()-1, 0))
+	for _, id := range ids {
+		if uf.Sets() == 1 {
+			break
+		}
+		if e := g.Edge(id); uf.Union(int32(e.U), int32(e.V)) {
+			out = append(out, id)
+		}
+	}
+	return out, uf.Sets()
+}
+
+// sortByWeight sorts edge ids in place by the total (w, id) order —
+// Kruskal's order.
+func sortByWeight(g *graph.Graph, ids []graph.EdgeID) {
 	edges := g.Edges()
 	sort.Slice(ids, func(a, b int) bool {
 		ea, eb := edges[ids[a]], edges[ids[b]]
@@ -126,23 +123,24 @@ func KruskalSubset(g *graph.Graph, allowed []bool) ([]graph.EdgeID, int) {
 		}
 		return ids[a] < ids[b]
 	})
-	uf := NewUnionFind(g.N())
-	var out []graph.EdgeID
-	for _, id := range ids {
-		e := edges[id]
-		if uf.Union(int32(e.U), int32(e.V)) {
-			out = append(out, id)
-		}
-	}
-	return out, uf.Sets()
 }
 
-// Distributed computes the MST with the genuine CONGEST Borůvka program
-// and returns the edges plus the measured engine statistics. The
-// phaseSyncCost (typically the hop-diameter) is charged per global phase
-// barrier.
-func Distributed(g *graph.Graph, phaseSyncCost int, seed int64) ([]graph.EdgeID, congest.Stats, error) {
-	return congest.RunBoruvka(g, phaseSyncCost, seed)
+// TreeWeight sums the weights of the marked tree edges (indexed by edge
+// id) in the total (w, id) order, Kruskal's accumulation order: for the
+// MST it is bit-identical to the weight Kruskal returns.
+func TreeWeight(g *graph.Graph, inTree []bool) float64 {
+	ids := make([]graph.EdgeID, 0, max(g.N()-1, 0))
+	for id, in := range inTree {
+		if in {
+			ids = append(ids, graph.EdgeID(id))
+		}
+	}
+	sortByWeight(g, ids)
+	var total float64
+	for _, id := range ids {
+		total += g.Edge(id).W
+	}
+	return total
 }
 
 // ChargeConstruction charges a ledger the round cost of the [Elk17b]

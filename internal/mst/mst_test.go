@@ -107,7 +107,7 @@ func TestKruskalMatchesDistributedBoruvka(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		be, stats, err := Distributed(g, 0, seed)
+		be, stats, err := congest.RunBoruvka(g, 0, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,6 @@ package slt
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"lightnet/internal/congest"
 	"lightnet/internal/graph"
@@ -331,23 +330,7 @@ func buildMeasured(g *graph.Graph, rt graph.Vertex, eps float64, opts Options) (
 func assembleMeasured(g *graph.Graph, st *mstate) *Result {
 	n := g.N()
 	// MST weight in Kruskal's (w, id) order — the accounted total.
-	ids := make([]graph.EdgeID, 0, n-1)
-	for id, in := range st.inTree {
-		if in {
-			ids = append(ids, graph.EdgeID(id))
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ea, eb := g.Edge(ids[a]), g.Edge(ids[b])
-		if ea.W != eb.W {
-			return ea.W < eb.W
-		}
-		return ids[a] < ids[b]
-	})
-	var mstWeight float64
-	for _, id := range ids {
-		mstWeight += g.Edge(id).W
-	}
+	mstWeight := mst.TreeWeight(g, st.inTree)
 	breakPoints := 0
 	for v := range st.vs {
 		for _, b := range st.vs[v].bp {

@@ -132,7 +132,7 @@ func (t *vtour) appearanceAt(pos int64) int {
 }
 
 // The "tree" and "bfs" stages reuse the engine's BFS program via
-// congest.BFSFactory: under Restrict(inTree) it roots the MST (the
+// congest.StagePools.BFS: under Restrict(inTree) it roots the MST (the
 // distributed form of mst.NewTree's rooting — in a tree the parent is
 // unique, so the result is independent of arrival order); unrestricted
 // it builds the BFS tree of G used by the phase-2 gather.
@@ -444,9 +444,10 @@ func (p *bpWalkProg) forward(ctx *congest.Ctx, t *vtour, k int, anchor float64, 
 type bpHeadsProg struct {
 	congest.NoPhases
 	st *mstate
-	// queue[head:] is the token backlog; the head index (not forward
-	// re-slicing) keeps the backing array reusable across appends — see
-	// funnelProgram in internal/congest for the allocation rationale.
+	// queue[head:] is the token backlog. Consuming via the head index
+	// (not by re-slicing forward) keeps the backing array reusable:
+	// re-slicing would pin the consumed prefix while forcing every
+	// append to grow a fresh tail.
 	queue []headTuple
 	head  int
 }
@@ -654,7 +655,7 @@ func (p *hMarkProg) mark(ctx *congest.Ctx, t *vtour) {
 // is dead the moment the next stage starts. sltPools owns one dense
 // slot slice per program type (congest.StagePool) and the factories
 // reset slots in place — per-vertex scratch (a downcast's waiting list,
-// a funnel's queue) keeps its capacity from stage to stage. The two
+// a relay's queue) keeps its capacity from stage to stage. The two
 // Bellman-Ford passes and the two downcasts share their pools.
 type sltPools struct {
 	spt   congest.StagePool[sptProg]

@@ -21,8 +21,9 @@ func TestSpannerFaultedConvergesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rates are chosen so loss-sensitive stages (the funnel loses a tuple
-	// per dropped message; the clustering rounds desync under delay) get
+	// Rates are chosen so loss-sensitive stages (the convergecast loses a
+	// subtree per dropped message and fails on a late child announcement;
+	// the clustering rounds desync under delay) get
 	// a clean attempt within the retry budget: the stream is seeded, so
 	// the whole suite is deterministic at every worker count.
 	plan := &congest.FaultPlan{Seed: 5, Drop: 0.002, Duplicate: 0.002, Delay: 0.01, MaxDelay: 2}

@@ -3,6 +3,7 @@ package spanner
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"lightnet/internal/congest"
@@ -170,7 +171,8 @@ func BuildLight(g *graph.Graph, k int, eps float64, opts Options) (*Result, erro
 			return nil, fmt.Errorf("spanner: %w", err)
 		}
 	}
-	bigL := 2 * mstWeight
+	wmax, sum := mstAnchor(g, mstEdges)
+	bigL := anchorL(sum, anchorScale(n, wmax))
 
 	res := &Result{MSTWeight: mstWeight}
 	inSpanner := make([]bool, g.M())
@@ -256,6 +258,47 @@ func BuildLight(g *graph.Graph, k int, eps float64, opts Options) (*Result, erro
 		res.Lightness = 1
 	}
 	return res, nil
+}
+
+// The §5 bucket anchor L ≈ 2·w(MST) is defined by an order-free
+// fixed-point sum over the MST edges, so that the measured pipeline can
+// compute it by integer convergecasts over any spanning tree and still
+// agree with this builder bit for bit. With b = bits.Len(n),
+//
+//	S = 62 − b, E the exponent of W_max (W_max = f·2^E, f ∈ [½, 1)),
+//	q(w) = ⌊w·2^(S−E)⌋ per MST edge, L = 2·float64(Σq)·2^(E−S).
+//
+// Each q is below 2^S and there are fewer than 2^b of them, so Σq < 2^62
+// never overflows. Truncation loses less than 2^(E−S) per edge and
+// w(MST) ≥ W_max ≥ 2^(E−1), so L undershoots 2·w(MST) by a relative
+// error below 2^(2b−61), apart from the one rounding of Σq to float64
+// (at most 2^−53 either way).
+
+// anchorScale is S − E for a graph of n vertices whose heaviest MST
+// edge has the bit pattern wmax.
+func anchorScale(n int, wmax int64) int {
+	_, e := math.Frexp(math.Float64frombits(uint64(wmax)))
+	return 62 - bits.Len(uint(n)) - e
+}
+
+// anchorTerm is q(w) at the given scale.
+func anchorTerm(w float64, scale int) int64 { return int64(math.Ldexp(w, scale)) }
+
+// anchorL is L for the term sum at the given scale.
+func anchorL(sum int64, scale int) float64 { return 2 * math.Ldexp(float64(sum), -scale) }
+
+// mstAnchor returns the two words the measured pipeline's mst-weight-up
+// convergecast delivers to the root: Float64bits(W_max) and Σq over the
+// tree edges ids.
+func mstAnchor(g *graph.Graph, ids []graph.EdgeID) (wmax, sum int64) {
+	for _, id := range ids {
+		wmax = max(wmax, int64(math.Float64bits(g.Edge(id).W)))
+	}
+	scale := anchorScale(g.N(), wmax)
+	for _, id := range ids {
+		sum += anchorTerm(g.Edge(id).W, scale)
+	}
+	return wmax, sum
 }
 
 // partitionEdges splits the non-MST edges by weight relative to L: E′

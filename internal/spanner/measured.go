@@ -10,8 +10,9 @@ package spanner
 //	stage            program                              §/primitive
 //	mst              Borůvka/controlled-GHS               §3 (MST)
 //	bfs              BFS tree of G                        Lemma 1 substrate
-//	mst-weight-up    MST (w, id) funnel to the root       Lemma 1 upcast
-//	mst-weight-down  flood of L = 2·w(MST)                Lemma 1 broadcast
+//	mst-weight-up    two-pass convergecast over the BFS   Lemma 1 upcast
+//	                 tree: max of w, then Σq(w) (mstAnchor)
+//	mst-weight-down  flood of L ≈ 2·w(MST)                Lemma 1 broadcast
 //	bucket-low       Baswana-Sen on E′ (w ≤ L/n)          §5 low bucket
 //	bucket-<i>       Baswana-Sen on E_i, one per          §5 weight scales
 //	                 non-empty scale, ascending i         (ClusterBaswana)
@@ -22,12 +23,20 @@ package spanner
 // to that bucket's edges; the spanner is the union of the kept edges with
 // the MST.
 //
+// mst-weight-up takes 3D+1 rounds on a BFS tree of depth D and sends
+// 4(n−1) messages: children announce themselves, a max-convergecast of
+// Float64bits(w) over each vertex's MST edges gives W_max, W_max goes
+// back down the tree, and a sum-convergecast of the fixed-point terms
+// q(w) at the scale W_max fixes gives Σq at the root.
+//
 // The output is bit-identical to the Accounted builder's with Cluster =
 // ClusterBaswana for the same seed (asserted by the determinism suite):
-// the MST is unique under the total (w, id) edge order, L is summed at
-// the root in the exact (w, id) order Kruskal accumulates, the bucket
-// arithmetic is the shared partitionEdges, and the per-bucket clustering
-// is driven by the pure sampling hash both executions evaluate.
+// the MST is unique under the total (w, id) edge order, L is an integer
+// max and sum over the MST edges — independent of the BFS tree and of
+// arrival order — evaluated by the shared mstAnchor arithmetic, the
+// bucket arithmetic is the shared partitionEdges, and the per-bucket
+// clustering is driven by the pure sampling hash both executions
+// evaluate.
 
 import (
 	"fmt"
@@ -132,11 +141,12 @@ func buildMeasured(g *graph.Graph, k int, eps float64, opts Options) (*Result, e
 
 	inTree := make([]bool, m)
 	var mstValidate func() error
+	var wantTree []graph.EdgeID
 	if faulty {
 		// Oracle: the spanning forest of the usable subgraph is unique
 		// under the total (w, id) edge order — distributed Borůvka must
 		// reproduce it exactly.
-		wantTree, _ := mst.KruskalSubset(g, aliveEdges)
+		wantTree, _ = mst.KruskalSubset(g, aliveEdges)
 		mstValidate = func() error {
 			count := 0
 			for _, in := range inTree {
@@ -185,71 +195,51 @@ func buildMeasured(g *graph.Graph, k int, eps float64, opts Options) (*Result, e
 		return nil, fmt.Errorf("spanner: %w", err)
 	}
 
-	// Funnel the MST edges' (w, id) tuples to the root. Each tree edge is
-	// reported once, by its smaller endpoint — both endpoints know the
-	// edge was adopted, so the owner is locally decidable.
-	queues := make([][]int64, n)
-	for id, in := range inTree {
-		if !in {
-			continue
-		}
-		e := g.Edge(graph.EdgeID(id))
-		owner := e.U
-		if e.V < owner {
-			owner = e.V
-		}
-		queues[owner] = append(queues[owner], int64(math.Float64bits(e.W)), int64(id))
-	}
-	var gathered []int64
-	var funnelValidate func() error
-	if faulty {
-		// Oracle: the multiset funneled to the root must be exactly the
-		// tree edges' (w, id) tuples. inTree is final by now, so the
-		// expectation can be fixed before the stage runs.
-		want := sortedTreeTuples(g, inTree)
-		funnelValidate = func() error {
-			if len(gathered) != len(want) {
-				return fmt.Errorf("weight funnel delivered %d words, oracle has %d", len(gathered), len(want))
-			}
-			got := sortTuplePairs(gathered)
-			for i := range want {
-				if got[i] != want[i] {
-					return fmt.Errorf("weight funnel multiset mismatch at word %d", i)
+	// L: the order-free two-pass convergecast of mstAnchor over the BFS
+	// tree. Each tree edge is counted once, by its smaller endpoint — both
+	// endpoints know the edge was adopted, so the owner is locally
+	// decidable. Pass 0 is the max of Float64bits(w), pass 1 the sum of
+	// the fixed-point terms at the scale W_max fixes.
+	passes := []congest.CastPass{
+		{Max: true, Term: func(v graph.Vertex, _ int64) int64 {
+			var hi int64
+			for _, h := range g.Neighbors(v) {
+				if inTree[h.ID] && v < h.To {
+					hi = max(hi, int64(math.Float64bits(h.W)))
 				}
+			}
+			return hi
+		}},
+		{Term: func(v graph.Vertex, wmax int64) int64 {
+			scale := anchorScale(n, wmax)
+			var sum int64
+			for _, h := range g.Neighbors(v) {
+				if inTree[h.ID] && v < h.To {
+					sum += anchorTerm(h.W, scale)
+				}
+			}
+			return sum
+		}},
+	}
+	cast := make([]int64, len(passes))
+	var castValidate func() error
+	if faulty {
+		// Oracle: the sequential fold over the oracle's tree edges. It does
+		// not depend on the BFS tree, which the bfs validator leaves free.
+		wantMax, wantSum := mstAnchor(g, wantTree)
+		castValidate = func() error {
+			if cast[0] != wantMax || cast[1] != wantSum {
+				return fmt.Errorf("mst weight convergecast gave (%#x, %d), oracle has (%#x, %d)", cast[0], cast[1], wantMax, wantSum)
 			}
 			return nil
 		}
 	}
-	funnelReset := func() { gathered = gathered[:0] }
-	if err := run("mst-weight-up", pools.Funnel(n, rt, bfsParent, 2, queues, &gathered),
-		stage(aliveEdges, funnelValidate, funnelReset)...); err != nil {
+	castReset := func() { clear(cast) }
+	if err := run("mst-weight-up", pools.Convergecast(n, rt, bfsParent, passes, cast),
+		stage(aliveEdges, castValidate, castReset)...); err != nil {
 		return nil, fmt.Errorf("spanner: %w", err)
 	}
-	if len(gathered) != 2*(compN-1) {
-		return nil, fmt.Errorf("spanner: weight funnel delivered %d tuples, want %d", len(gathered)/2, compN-1)
-	}
-	// Root-local: sum the tree weights in the total (w, id) edge order —
-	// the exact accumulation order of Kruskal, so the resulting L matches
-	// the accounted builder's bit for bit.
-	type tup struct {
-		w  float64
-		id int64
-	}
-	tups := make([]tup, compN-1)
-	for i := range tups {
-		tups[i] = tup{w: math.Float64frombits(uint64(gathered[2*i])), id: gathered[2*i+1]}
-	}
-	sort.Slice(tups, func(a, b int) bool {
-		if tups[a].w != tups[b].w {
-			return tups[a].w < tups[b].w
-		}
-		return tups[a].id < tups[b].id
-	})
-	var mstWeight float64
-	for _, t := range tups {
-		mstWeight += t.w
-	}
-	bigL := 2 * mstWeight
+	bigL := anchorL(cast[1], anchorScale(n, cast[0]))
 	lword := make([]int64, n)
 	lbits := int64(math.Float64bits(bigL))
 	var floodValidate func() error
@@ -294,6 +284,9 @@ func buildMeasured(g *graph.Graph, k int, eps float64, opts Options) (*Result, e
 		}
 	}
 
+	// w(MST) itself is assembled outside the vertices, like res.Weight:
+	// in Kruskal's (w, id) order, as the accounted builder sums it.
+	mstWeight := mst.TreeWeight(g, inTree)
 	res := &Result{MSTWeight: mstWeight, LowBucketEdges: len(lowIDs)}
 	inSpanner := make([]bool, m)
 	add := func(id graph.EdgeID) {
@@ -479,43 +472,6 @@ func buildMeasured(g *graph.Graph, k int, eps float64, opts Options) (*Result, e
 		}
 	}
 	return res, nil
-}
-
-// sortedTreeTuples flattens the (Float64bits(w), id) tuples of the tree
-// edges in the total (w, id) order — the funnel validator's oracle.
-func sortedTreeTuples(g *graph.Graph, inTree []bool) []int64 {
-	var out []int64
-	for id, in := range inTree {
-		if !in {
-			continue
-		}
-		e := g.Edge(graph.EdgeID(id))
-		out = append(out, int64(math.Float64bits(e.W)), int64(id))
-	}
-	return sortTuplePairs(out)
-}
-
-// sortTuplePairs returns a copy of a flattened (Float64bits(w), id)
-// tuple slice with the tuples sorted by (w, id); flat is not mutated.
-func sortTuplePairs(flat []int64) []int64 {
-	np := len(flat) / 2
-	idx := make([]int, np)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		wa := math.Float64frombits(uint64(flat[2*idx[a]]))
-		wb := math.Float64frombits(uint64(flat[2*idx[b]]))
-		if wa != wb {
-			return wa < wb
-		}
-		return flat[2*idx[a]+1] < flat[2*idx[b]+1]
-	})
-	out := make([]int64, 0, len(flat))
-	for _, i := range idx {
-		out = append(out, flat[2*i], flat[2*i+1])
-	}
-	return out
 }
 
 // filterEdgeIDs returns the ids whose mask entry is set.

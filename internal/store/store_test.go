@@ -269,3 +269,33 @@ func TestChecksumProperties(t *testing.T) {
 		t.Fatalf("digest formatting drift: %s", DigestString(0))
 	}
 }
+
+// TestWriteAtomicLeavesNoTmp: a write replaces the file's contents and
+// leaves no *.tmp behind; a failed write removes its tmp file.
+func TestWriteAtomicLeavesNoTmp(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sub", "f.bin")
+	for _, data := range [][]byte{[]byte("first"), []byte("second, longer")} {
+		if err := writeAtomic(path, data); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != string(data) {
+			t.Fatalf("read back %q, %v; want %q", got, err, data)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("tmp file left behind: %v", err)
+		}
+	}
+	// The rename fails when the target is a non-empty directory.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeAtomic(blocked, []byte("x")); err == nil {
+		t.Fatal("write over a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(blocked + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed write left its tmp file: %v", err)
+	}
+}

@@ -2,11 +2,14 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
+	"syscall"
 
 	"lightnet/internal/graph"
 )
@@ -322,21 +325,51 @@ const (
 )
 
 // writeAtomic writes data to path via a sibling tmp file and rename, so
-// readers never observe a partial file and a crash leaves at most a
-// stray *.tmp.
+// readers never observe a partial file and a crash — a power loss
+// included — leaves at most a stray *.tmp: the tmp file is synced
+// before the rename, and the directory after it.
 func writeAtomic(path string, data []byte) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		_, err = f.Write(data)
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err == nil {
+		err = syncDir(dir)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
+}
+
+// syncDir flushes a directory's entries, making a rename inside it
+// durable. Where a directory cannot be synced — Windows, and file
+// systems that answer EINVAL or ENOTSUP — the rename is as durable as
+// the platform makes it.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	err = d.Sync()
+	if runtime.GOOS == "windows" || errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
+		return nil
+	}
+	return err
 }
