@@ -1,5 +1,6 @@
-// Benchmark harness: one benchmark family per experiment id of
-// DESIGN.md (each reproducing one table/figure/claim of the paper).
+// Benchmark harness: one benchmark family per experiment id (E-*) of
+// the paper-experiments index in README.md, each reproducing one
+// table, figure or claim of the paper.
 // Custom metrics reported per op:
 //
 //	rounds     — distributed rounds under the paper's CONGEST accounting

@@ -92,7 +92,7 @@ type Engine struct {
 	// faults.go). Every fault-aware path branches on a nil check so the
 	// fault-free hot path stays allocation-free and unchanged.
 	fi       *faultInjector
-	faultErr error // invalid Options.Faults; surfaced by runProgram
+	faultErr error      // invalid Options.Faults; surfaced by runProgram
 	mu       sync.Mutex // guards failed under parallel execution
 	failed   error
 }

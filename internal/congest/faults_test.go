@@ -39,20 +39,20 @@ func TestFaultSpecRoundTrip(t *testing.T) {
 
 func TestFaultSpecRejects(t *testing.T) {
 	for _, spec := range []string{
-		"drop",            // no value
-		"drop=",           // empty value
-		"bogus=1",         // unknown key
-		"drop=2",          // probability out of range
+		"drop",             // no value
+		"drop=",            // empty value
+		"bogus=1",          // unknown key
+		"drop=2",           // probability out of range
 		"drop=0.6,dup=0.6", // sum > 1
 		"drop=x",
-		"crash=5",      // missing @round
-		"crash=5@-1",   // negative round
-		"crash=5@10-3", // restart before crash
-		"crash=5@0-3",  // round-0 crash cannot restart
+		"crash=5",             // missing @round
+		"crash=5@-1",          // negative round
+		"crash=5@10-3",        // restart before crash
+		"crash=5@0-3",         // round-0 crash cannot restart
 		"crash=5@1,crash=5@2", // duplicate vertex
-		"part=0.5",     // missing window
-		"part=0.5@9-9", // empty window
-		"part=1.5@1-2", // frac out of range
+		"part=0.5",            // missing window
+		"part=0.5@9-9",        // empty window
+		"part=1.5@1-2",        // frac out of range
 		"maxdelay=-1",
 		"drop=0.1,drop=0.2", // duplicate scalar key
 	} {

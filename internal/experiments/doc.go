@@ -1,7 +1,6 @@
 // Package experiments is the evaluation layer: the scenario registry
 // that names every workload the repo can generate, the reproducible
-// grid pipeline behind `lightnet bench`, and the paper-table
-// regenerators behind cmd/benchtab.
+// grid pipeline behind `lightnet bench`.
 //
 // # Scenario registry
 //
@@ -44,11 +43,12 @@
 //
 // # Paper tables
 //
-// experiments.go regenerates the paper's evaluation: one function per
-// experiment id of DESIGN.md (Table 1 rows E-T1.1..E-T1.4, the
-// structural figures E-F1/E-F3, the lower-bound reduction E-LB, the
-// trade-off curve E-KRY, the baseline comparison E-BS and the
-// ablations E-ABL). Each returns a formatted Table; cmd/benchtab
-// prints them all and EXPERIMENTS.md records the outputs next to the
-// paper's claims.
+// The paper's experiment tables are grids like any other: the
+// committed examples/grids/paper*.json files reproduce the Table 1 rows
+// (E-T1.1..E-T1.4), the trade-off curve (E-KRY), the complete-graph
+// ablations (E-ABL-b, E-ABL-d) and the elementary engine programs
+// (E-ENG). The experiments that need inputs or knobs a grid does not
+// have (E-F1, E-F3, E-LB, E-BS, E-ABL-a, E-ABL-c) are the benchmark
+// families of the root package's bench_test.go and the tests named
+// next to them in README.md's "Paper experiments" index.
 package experiments

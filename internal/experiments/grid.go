@@ -891,7 +891,7 @@ func resumeCSV(path, name string, done map[string]string) (*os.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := newCSVWriter(f)
+	w := csv.NewWriter(f)
 	if err := w.Write(csvHeader); err != nil {
 		f.Close()
 		return nil, err
@@ -919,7 +919,7 @@ func runSpec(g *Grid, spec Spec, name, dir string, graphs map[graphKey]cachedGra
 		return err
 	}
 	defer f.Close()
-	w := newCSVWriter(f)
+	w := csv.NewWriter(f)
 	// Artifacts exist for the paper's persistent objects only, and a
 	// faulted cell's output is diagnostic, not servable.
 	wantArt := g.Store && spec.Faults == nil &&

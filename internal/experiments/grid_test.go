@@ -30,6 +30,25 @@ func TestLoadGridDefaults(t *testing.T) {
 	}
 }
 
+// TestCommittedGridsLoad: every grid under examples/grids/ parses and
+// validates, including the ones that only run nightly or by hand.
+func TestCommittedGridsLoad(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "grids", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no grids found under examples/grids/")
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			if _, err := LoadGrid(path); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestGridValidateRejects(t *testing.T) {
 	bad := []Grid{
 		{Sizes: []int{64}, Experiments: []Spec{{Construction: "nope"}}},

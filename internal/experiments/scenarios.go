@@ -524,3 +524,15 @@ func BuildWorkload(spec string, n int, seed int64) (*graph.Graph, error) {
 	}
 	return g, nil
 }
+
+// isqrt returns ⌈√n⌉ (0 for n ≤ 0): the side of the "grid" scenario.
+func isqrt(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	x := 1
+	for x*x < n {
+		x++
+	}
+	return x
+}

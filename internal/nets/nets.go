@@ -173,35 +173,3 @@ func Verify(g *graph.Graph, pts []graph.Vertex, alpha, beta float64) error {
 	}
 	return nil
 }
-
-// CoverageStats returns the maximum and mean distance from a vertex to
-// the net (exact), used by the benchmark harness.
-func CoverageStats(g *graph.Graph, pts []graph.Vertex) (maxDist, meanDist float64) {
-	if len(pts) == 0 {
-		return graph.Inf, graph.Inf
-	}
-	dist, _, _ := g.DijkstraMultiSource(pts, graph.Inf)
-	var sum float64
-	for _, d := range dist {
-		if d > maxDist {
-			maxDist = d
-		}
-		sum += d
-	}
-	return maxDist, sum / float64(len(dist))
-}
-
-// MinSeparation returns the minimum pairwise graph distance between net
-// points (exact; O(|pts|·m log n)).
-func MinSeparation(g *graph.Graph, pts []graph.Vertex) float64 {
-	minSep := graph.Inf
-	for _, p := range pts {
-		t := g.Dijkstra(p)
-		for _, q := range pts {
-			if q != p && t.Dist[q] < minSep {
-				minSep = t.Dist[q]
-			}
-		}
-	}
-	return minSep
-}

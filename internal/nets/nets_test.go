@@ -169,21 +169,6 @@ func TestVerifyCatchesViolations(t *testing.T) {
 	}
 }
 
-func TestCoverageStatsAndSeparation(t *testing.T) {
-	g := graph.Path(9, 1)
-	pts := []graph.Vertex{0, 4, 8}
-	maxD, meanD := CoverageStats(g, pts)
-	if maxD != 2 {
-		t.Fatalf("max coverage %v", maxD)
-	}
-	if meanD <= 0 || meanD >= 2 {
-		t.Fatalf("mean coverage %v", meanD)
-	}
-	if sep := MinSeparation(g, pts); sep != 4 {
-		t.Fatalf("separation %v", sep)
-	}
-}
-
 // Property: on random geometric graphs the net properties certify for
 // random scales.
 func TestNetPropertyQuick(t *testing.T) {

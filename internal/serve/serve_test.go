@@ -223,6 +223,15 @@ func TestHealthzCarriesDigest(t *testing.T) {
 	}
 }
 
+// TestServerBoundsHeaderRead: the HTTP server drops connections whose
+// request headers do not arrive within readHeaderTimeout.
+func TestServerBoundsHeaderRead(t *testing.T) {
+	srv := NewServer(spannerNetwork(t, 32, 1), Options{})
+	if got := srv.httpSrv.ReadHeaderTimeout; got != readHeaderTimeout || got <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", got, readHeaderTimeout)
+	}
+}
+
 func TestStatsCountCacheAndBatches(t *testing.T) {
 	srv := NewServer(spannerNetwork(t, 32, 1), Options{})
 	ts := httptest.NewServer(srv.Handler())

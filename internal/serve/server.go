@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"sync/atomic"
+	"time"
 )
 
 // Options configures a Server.
@@ -24,6 +25,11 @@ type Options struct {
 
 // DefaultCacheSize is the LRU capacity when Options.CacheSize is 0.
 const DefaultCacheSize = 1 << 16
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that never finishes them cannot hold a
+// connection and its goroutine forever.
+const readHeaderTimeout = 10 * time.Second
 
 // Server serves one built Network over HTTP:
 //
@@ -69,7 +75,7 @@ func NewServer(nw *Network, opts Options) *Server {
 	s.mux.HandleFunc("/info", s.handleInfo)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.httpSrv = &http.Server{Handler: s.mux}
+	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	return s
 }
 

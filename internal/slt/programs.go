@@ -35,16 +35,16 @@ type mstate struct {
 
 	pw1, pw2 []float64 // hash-perturbed substitute weights (seed, seed+1)
 
-	inTree     []bool          // stage mst: MST membership per edge id
-	treeParent []graph.EdgeID  // stage tree: parent edge in the rooted MST
-	treeDepth  []int32         // stage tree: hop depth in the rooted MST
-	sptParent  []graph.EdgeID  // stage spt: perturbed-SPT parent edge
-	rootDist   []float64       // stage spt-dist: true SPT distance from rt
-	bfsParent  []graph.EdgeID  // stage bfs: BFS-tree parent over all of G
-	bfsDepth   []int32
-	vs         []vtour         // per-vertex Euler-tour state
-	rootTuples []headTuple     // stage bp-heads: gathered at rt (rt-only write)
-	inH        []bool          // stage h-mark: SPT path edges added to H
+	inTree      []bool         // stage mst: MST membership per edge id
+	treeParent  []graph.EdgeID // stage tree: parent edge in the rooted MST
+	treeDepth   []int32        // stage tree: hop depth in the rooted MST
+	sptParent   []graph.EdgeID // stage spt: perturbed-SPT parent edge
+	rootDist    []float64      // stage spt-dist: true SPT distance from rt
+	bfsParent   []graph.EdgeID // stage bfs: BFS-tree parent over all of G
+	bfsDepth    []int32
+	vs          []vtour        // per-vertex Euler-tour state
+	rootTuples  []headTuple    // stage bp-heads: gathered at rt (rt-only write)
+	inH         []bool         // stage h-mark: SPT path edges added to H
 	finalParent []graph.EdgeID // stage final-spt
 	finalDist   []float64      // stage final-dist: true tree distance
 }
@@ -74,8 +74,8 @@ type vtour struct {
 	startUnit int64   // first-visit position index
 	pos       []int64 // appearance positions, increasing
 	r         []float64
-	bp        []bool // break-point mark per appearance
-	marked    bool   // h-mark: vertex lies on a root→break-point SPT path
+	bp        []bool                 // break-point mark per appearance
+	marked    bool                   // h-mark: vertex lies on a root→break-point SPT path
 	route     map[int64]graph.EdgeID // bp-heads: reverse route per head position
 }
 

@@ -197,7 +197,7 @@ func openArtifactBytes(data []byte) (*Artifact, error) {
 		return nil, err
 	}
 	aflags := binary.LittleEndian.Uint32(ameta[12:])
-	if aflags &^ 1 != 0 {
+	if aflags&^1 != 0 {
 		return nil, fmt.Errorf("store: unknown artifact flags %#x", aflags)
 	}
 	n64 := binary.LittleEndian.Uint64(ameta[40:])
