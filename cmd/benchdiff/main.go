@@ -2,13 +2,13 @@
 // fresh benchmark report against the committed baseline and exits
 // non-zero when the fresh numbers regress.
 //
-//	go run ./cmd/benchengine -out /tmp/engine.json
+//	go run ./cmd/lightnet bench -kind engine -out /tmp/engine.json
 //	go run ./cmd/benchdiff -kind engine -baseline BENCH_engine.json -current /tmp/engine.json
 //
-//	go run ./cmd/benchgen -million=false -out /tmp/gen.json
+//	go run ./cmd/lightnet bench -kind generators -million=false -out /tmp/gen.json
 //	go run ./cmd/benchdiff -kind generators -baseline BENCH_generators.json -current /tmp/gen.json
 //
-//	go run ./cmd/benchquality -out /tmp/quality.json
+//	go run ./cmd/lightnet bench -kind quality -out /tmp/quality.json
 //	go run ./cmd/benchdiff -kind quality -baseline BENCH_quality.json -current /tmp/quality.json
 //
 //	lightnet serve -addr 127.0.0.1:0 -addrfile /tmp/addr &
@@ -47,8 +47,8 @@
 // numbers (an engine or generator change), regenerate the committed
 // files on a quiet machine and commit them with the change —
 //
-//	go run ./cmd/benchengine -out BENCH_engine.json
-//	go run ./cmd/benchgen -out BENCH_generators.json
+//	go run ./cmd/lightnet bench -kind engine -pipeline-n 1000000
+//	go run ./cmd/lightnet bench -kind generators
 //
 // — so the gate's next comparison starts from the new trajectory. The
 // docs/ARCHITECTURE.md "Performance" section describes the workflow.
@@ -149,7 +149,7 @@ func diff(kind, basePath, curPath string, maxNs, maxAlloc, maxRatio, maxNs1m flo
 // -require-1m (the nightly mode).
 func diffEngine(base, cur *benchfmt.EngineReport, maxNs, maxAlloc, maxNs1m float64, require1m bool) []string {
 	if cur.Workload != base.Workload {
-		return []string{fmt.Sprintf("workload mismatch: baseline %q vs fresh %q (run benchengine in the baseline's mode)",
+		return []string{fmt.Sprintf("workload mismatch: baseline %q vs fresh %q (run lightnet bench -kind engine in the baseline's mode)",
 			base.Workload, cur.Workload)}
 	}
 	var out []string
@@ -177,12 +177,12 @@ func diffMeasurement(name string, base, cur *benchfmt.Measurement, maxNs, maxAll
 	}
 	if base.Workload != "" && cur.Workload != "" && base.Workload != cur.Workload {
 		if optional {
-			// A shrunken CI smoke (e.g. -pipeline1m-n 100000) measures a
+			// A shrunken CI smoke (e.g. -pipeline-n 100000) measures a
 			// different input; skip rather than compare apples to oranges.
 			// The nightly run passes -require-1m and still gets the error.
 			return nil
 		}
-		return []string{fmt.Sprintf("%s: workload mismatch: baseline %q vs fresh %q (not comparable; rerun benchengine with the baseline's parameters)",
+		return []string{fmt.Sprintf("%s: workload mismatch: baseline %q vs fresh %q (not comparable; rerun lightnet bench -kind engine with the baseline's parameters)",
 			name, base.Workload, cur.Workload)}
 	}
 	var out []string
@@ -222,7 +222,7 @@ func workloadTag(m *benchfmt.Measurement) string {
 func diffGenerators(base, cur *benchfmt.GeneratorsReport, maxRegress float64) []string {
 	var out []string
 	if base.N != cur.N || base.Dim != cur.Dim {
-		out = append(out, fmt.Sprintf("workload mismatch: baseline n=%d dim=%d vs fresh n=%d dim=%d (run benchgen with the baseline's parameters)",
+		out = append(out, fmt.Sprintf("workload mismatch: baseline n=%d dim=%d vs fresh n=%d dim=%d (run lightnet bench -kind generators with the baseline's parameters)",
 			base.N, base.Dim, cur.N, cur.Dim))
 		return out
 	}
@@ -341,7 +341,7 @@ func nearlyEqual(a, b float64) bool {
 func diffQuality(base, cur *benchfmt.QualityReport, maxRatio float64) []string {
 	if base.K != cur.K || base.Eps != cur.Eps || base.N != cur.N ||
 		base.Seed != cur.Seed || base.Pairs != cur.Pairs {
-		return []string{fmt.Sprintf("workload mismatch: baseline k=%d eps=%g n=%d seed=%d pairs=%d vs fresh k=%d eps=%g n=%d seed=%d pairs=%d (run benchquality with the baseline's parameters)",
+		return []string{fmt.Sprintf("workload mismatch: baseline k=%d eps=%g n=%d seed=%d pairs=%d vs fresh k=%d eps=%g n=%d seed=%d pairs=%d (run lightnet bench -kind quality with the baseline's parameters)",
 			base.K, base.Eps, base.N, base.Seed, base.Pairs,
 			cur.K, cur.Eps, cur.N, cur.Seed, cur.Pairs)}
 	}

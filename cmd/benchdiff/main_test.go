@@ -71,8 +71,8 @@ func TestEngineSyntheticRegressionFails(t *testing.T) {
 }
 
 // TestEngineWorkloadMismatch: a fresh report from a different workload
-// (e.g. a -scenario run) is reported as a mismatch, not as algorithm
-// drift.
+// (e.g. one a changed harness wrote) is reported as a mismatch, not as
+// algorithm drift.
 func TestEngineWorkloadMismatch(t *testing.T) {
 	base := engineReport(1000, 500, 12345, 15)
 	cur := engineReport(1000, 500, 99999, 20)
@@ -162,8 +162,8 @@ func TestGeneratorsGate(t *testing.T) {
 }
 
 // qualityReport builds a two-scenario report whose accounted and
-// measured rows agree — the shape benchquality emits when the pipeline
-// contract holds.
+// measured rows agree — the shape `lightnet bench -kind quality` emits
+// when the pipeline contract holds.
 func qualityReport() *benchfmt.QualityReport {
 	rep := &benchfmt.QualityReport{K: 2, Eps: 0.25, N: 128, Seed: 1, Pairs: 2000}
 	for _, sc := range []struct {

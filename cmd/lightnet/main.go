@@ -39,11 +39,12 @@
 //	lightnet -obj spanner -graph ba:m=4 -n 4096
 //	lightnet -obj mst -graph edgelist:path=road.txt
 //
-// The bench subcommand runs the reproducible experiment pipeline: a
-// JSON grid file (seed, repeats, sizes, workloads, per-construction
-// knobs) is swept and a timestamped run folder of per-experiment CSVs
-// plus logs is written. Re-running the same grid reproduces identical
-// CSV content modulo the wall-time column.
+// The bench subcommand is the one bench front door. Its default kind,
+// -kind grid, runs the reproducible experiment pipeline: a JSON grid
+// file (seed, repeats, sizes, workloads, per-construction knobs) is
+// swept and a timestamped run folder of per-experiment CSVs plus logs
+// is written. Re-running the same grid reproduces identical CSV content
+// modulo the wall-time column.
 //
 // Each completed cell is checkpointed in the run folder's manifest, so
 // a killed run resumes in seconds without recomputing finished cells:
@@ -52,6 +53,22 @@
 //	lightnet bench -grid grid.json -out results/nightly
 //	lightnet bench -grid grid.json -out results/nightly -resume
 //	lightnet bench                      (built-in headline grid)
+//
+// The other kinds write the committed baselines that cmd/benchdiff
+// gates (-out defaults to BENCH_<kind>.json in the current directory;
+// run them from the repository root):
+//
+//	lightnet bench -kind engine                      (MIS hot path + measured pipelines, n=2048)
+//	lightnet bench -kind engine -pipeline-n 1000000  (plus the single-run knn pipelines)
+//	lightnet bench -kind generators -million=false   (spatial hash vs brute force)
+//	lightnet bench -kind quality                     (every scenario vs the greedy oracle)
+//
+// Every kind takes -cpuprofile, -memprofile and -trace, which wrap
+// exactly the measured work; a grid run puts relative profile paths in
+// its run folder:
+//
+//	lightnet bench -kind engine -pipeline-n 1000000 -cpuprofile /tmp/engine.pprof -out /tmp/e.json
+//	go tool pprof -top /tmp/engine.pprof
 //
 // The serve subcommand is the build-once, query-many service: it builds
 // the spanner (or SLT) once at startup and answers /distance, /path and
@@ -74,7 +91,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
@@ -84,7 +100,6 @@ import (
 	"lightnet/internal/benchfmt"
 	"lightnet/internal/congest"
 	"lightnet/internal/experiments"
-	"lightnet/internal/profiling"
 	"lightnet/internal/serve"
 	"lightnet/internal/store"
 )
@@ -126,62 +141,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lightnet:", err)
 		os.Exit(1)
 	}
-}
-
-// runBench executes the experiment pipeline described by a grid file.
-func runBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	gridPath := fs.String("grid", "", "JSON experiment-grid file (default: built-in headline grid)")
-	out := fs.String("out", "", "output folder (default: bench-<timestamp>)")
-	resume := fs.Bool("resume", false, "resume a killed run: skip the cells -out's manifest marks done")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweep; relative paths land in the run folder")
-	memprofile := fs.String("memprofile", "", "write an allocation profile of the sweep; relative paths land in the run folder")
-	tracePath := fs.String("trace", "", "write a runtime execution trace of the sweep; relative paths land in the run folder")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return err
-	}
-	if *resume && *out == "" {
-		return errors.New("-resume needs -out: the folder of the run to pick up")
-	}
-	grid := experiments.DefaultGrid()
-	if *gridPath != "" {
-		var err error
-		if grid, err = experiments.LoadGrid(*gridPath); err != nil {
-			return err
-		}
-	}
-	dir := *out
-	if dir == "" {
-		dir = "bench-" + time.Now().Format("20060102-150405")
-	}
-	// Profiles live next to the CSVs they explain: a relative profile
-	// path is resolved inside the run folder, so the sweep's artifacts
-	// travel as one directory.
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	inRun := func(p string) string {
-		if p == "" || filepath.IsAbs(p) {
-			return p
-		}
-		return filepath.Join(dir, p)
-	}
-	stopProf, err := profiling.Start(inRun(*cpuprofile), inRun(*memprofile), inRun(*tracePath))
-	if err != nil {
-		return err
-	}
-	err = experiments.RunGridResume(grid, dir, os.Stdout, *resume)
-	if perr := stopProf(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("run folder: %s (csv/ per experiment, logs/run.log, grid.json)\n", dir)
-	return nil
 }
 
 // runServe is the build-once, query-many service: it builds (or loads)

@@ -1,7 +1,8 @@
 // Package benchfmt defines the JSON schemas of the repository's
-// committed benchmark baselines — BENCH_engine.json (cmd/benchengine),
-// BENCH_generators.json (cmd/benchgen) and BENCH_quality.json
-// (cmd/benchquality) — shared by the writers and by the CI regression
+// committed benchmark baselines — BENCH_engine.json,
+// BENCH_generators.json and BENCH_quality.json (written by `lightnet
+// bench -kind engine|generators|quality`) and BENCH_serve.json
+// (`lightnet loadgen`) — shared by the writers and by the CI regression
 // gate (cmd/benchdiff). Keeping the schema in one place guarantees the
 // gate always parses exactly what the harnesses emit.
 package benchfmt
@@ -31,15 +32,14 @@ type Measurement struct {
 	Messages    int64   `json:"messages"`
 }
 
-// EngineReport is the schema of BENCH_engine.json. Before and the
-// speedup are present only for the canonical workload; -scenario runs
-// are not comparable to the frozen baseline and carry just the After
-// numbers. Canonical runs additionally record the measured-mode SLT and
-// spanner pipelines so their round cost and allocation profile are
-// tracked alongside the elementary hot path, and — when benchengine is
-// invoked with -pipeline1m — the n=10⁶ single-run pipeline datapoints
-// (measured by wall clock + runtime.ReadMemStats rather than
-// testing.Benchmark, because one op takes minutes).
+// EngineReport is the schema of BENCH_engine.json: the canonical
+// workload's After numbers next to the frozen Before baseline, plus the
+// measured-mode SLT and spanner pipelines so their round cost and
+// allocation profile are tracked alongside the elementary hot path,
+// and — with `lightnet bench -kind engine -pipeline-n N` — the
+// single-run knn pipeline datapoints at n=N (measured by wall clock +
+// runtime.ReadMemStats rather than testing.Benchmark, because one op
+// takes minutes at n=10⁶).
 type EngineReport struct {
 	Workload          string       `json:"workload"`
 	Before            *Measurement `json:"before,omitempty"`
@@ -110,7 +110,8 @@ type QualityRow struct {
 	RatioVsGreedy float64 `json:"ratio_vs_greedy"`
 }
 
-// QualityReport is the schema of BENCH_quality.json (cmd/benchquality).
+// QualityReport is the schema of BENCH_quality.json (`lightnet bench
+// -kind quality`, filled by experiments.QualityReport).
 type QualityReport struct {
 	K     int          `json:"k"`
 	Eps   float64      `json:"eps"`

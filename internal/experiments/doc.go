@@ -15,23 +15,23 @@
 // graph from (spec, n, seed), and Scenarios lists the catalog (full
 // documentation with doubling dimensions and edge-count asymptotics:
 // docs/SCENARIOS.md). The same specs are accepted by the grid JSON
-// "workloads" array, by `lightnet -graph`, and by
-// `cmd/benchengine -scenario`, so every experiment cell is
-// reproducible from one line. Parameterless legacy specs ("er",
+// "workloads" array and by `lightnet -graph`, so every experiment cell
+// is reproducible from one line. Parameterless legacy specs ("er",
 // "geometric", "grid", "complete", "hard", "path") rebuild the
 // pre-registry pipeline graphs bit for bit.
 //
 // # Grid pipeline
 //
 // grid.go defines the JSON experiment-grid format — a base seed,
-// repeats, size and workload sweeps, and per-construction knobs — and
-// RunGrid executes every cell into a run folder: grid.json (resolved,
-// for provenance), csv/ with one CSV per experiment, logs/run.log, and
-// manifest.txt, the per-cell checkpoint log. Each finished cell is
-// flushed to its CSV before its manifest line is appended, so a killed
-// run leaves at most one orphan CSV row; RunGridResume (`lightnet
-// bench -resume`) prunes orphans, skips manifest-recorded cells, and
-// refuses a folder whose grid.json differs from the requested grid.
+// repeats, size and workload sweeps, and per-construction knobs; LoadGrid
+// rejects unknown keys — and RunGrid executes every cell into a run
+// folder: grid.json (resolved, for provenance), csv/ with one CSV per
+// experiment, logs/run.log, and manifest.txt, the per-cell checkpoint
+// log. Each finished cell is flushed to its CSV before its manifest
+// line is appended, so a killed run leaves at most one orphan CSV row;
+// RunGridResume (`lightnet bench -resume`) prunes orphans, skips
+// manifest-recorded cells, and refuses a folder whose grid.json differs
+// from the requested grid.
 // Measured specs may carry a "faults" block plus "stage_retries"
 // (congest.FaultPlan — seeded message faults, crash schedules,
 // partitions); their rows populate the dropped/duplicated/delayed/
@@ -40,6 +40,11 @@
 // trailing wall-time column; CI enforces this for the scenario smoke
 // grid (examples/grids/scenarios.json) and the fault-injection grid
 // (examples/grids/chaos.json).
+//
+// The quality-oracle columns ("quality": true on a spanner spec) come
+// from fillQuality, the one oracle in the repository: QualityReport
+// runs it through the same cell runner over the whole registry to
+// produce BENCH_quality.json (`lightnet bench -kind quality`).
 //
 // # Paper tables
 //

@@ -8,9 +8,9 @@ import (
 
 // FuzzScenarioSpec exercises the "name:key=val,..." workload-spec
 // parser that every user-facing entry point funnels through (lightnet
-// -graph, grid JSON workloads, benchengine -scenario). It must never
-// panic, and anything it accepts must be internally consistent and
-// round-trip through the canonical spec string. Build is deliberately
+// -graph, grid JSON workloads). It must never panic, and anything it
+// accepts must be internally consistent and round-trip through the
+// canonical spec string. Build is deliberately
 // not called: parameter range checks that need n happen there, and
 // adversarial-but-parseable values (say knn:k=1e9) may legitimately
 // take unbounded time to generate.

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"lightnet/internal/benchfmt"
 	"lightnet/internal/congest"
 	"lightnet/internal/doubling"
 	"lightnet/internal/graph"
@@ -112,15 +113,22 @@ type Spec struct {
 	StageRetries int `json:"stage_retries,omitempty"`
 }
 
-// LoadGrid reads and validates a JSON grid file.
+// LoadGrid reads and validates a JSON grid file. Decoding is strict:
+// an unknown key (a misspelt "verfy", say) is an error, not a knob
+// silently left at its default.
 func LoadGrid(path string) (*Grid, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	var g Grid
-	if err := json.Unmarshal(data, &g); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&g); err != nil {
 		return nil, fmt.Errorf("experiments: parse %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("experiments: parse %s: trailing data after the grid object", path)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", path, err)
@@ -288,6 +296,9 @@ type Row struct {
 	GreedyStretch   float64
 	RatioVsGreedy   float64
 	StretchP99      float64
+	// GreedyEdges is the greedy baseline's edge count. It is reported
+	// in BENCH_quality.json but is not a CSV column.
+	GreedyEdges int
 	// Fault columns (cells run under an active Spec.Faults plan;
 	// rendered empty when Faulted is false): injected message faults,
 	// extra stage attempts the validators forced, and the size of the
@@ -633,12 +644,53 @@ func fillQuality(row *Row, g *graph.Graph, res *spanner.Result, spec Spec, seed 
 	if err != nil {
 		return fmt.Errorf("quality: greedy stretch: %w", err)
 	}
-	row.GreedyStretch = gMax
+	row.GreedyStretch, row.GreedyEdges = gMax, len(greedyIDs)
 	row.GreedyLightness = metrics.Lightness(g, greedyIDs, res.MSTWeight)
 	if row.GreedyLightness > 0 {
 		row.RatioVsGreedy = row.Lightness / row.GreedyLightness
 	}
 	return nil
+}
+
+// QualityReport runs the quality oracle over the whole scenario
+// registry and returns the BENCH_quality.json report: on every scenario
+// at n=128, seed 1, the §5 spanner (k=2, ε=0.25) is built accounted
+// with the distributable baswana bucket clustering and then measured,
+// and each build gets fillQuality's columns through the grid's own
+// runCell. The edgelist scenario reads the edge-list file at
+// edgelistPath; its rows are keyed "edgelist" so the report does not
+// depend on where the file lives.
+func QualityReport(edgelistPath string) (*benchfmt.QualityReport, error) {
+	const n, seed, k, eps, pairs = 128, 1, 2, 0.25, 2000
+	specs := []Spec{
+		{Construction: "spanner", K: k, Eps: eps, Cluster: "baswana", Quality: true, QualityPairs: pairs},
+		{Construction: "spanner", K: k, Eps: eps, Mode: "measured", Quality: true, QualityPairs: pairs},
+	}
+	rep := &benchfmt.QualityReport{K: k, Eps: eps, N: n, Seed: seed, Pairs: pairs}
+	for _, sc := range Scenarios() {
+		spec := sc.Name
+		if sc.Name == "edgelist" {
+			spec = "edgelist:path=" + edgelistPath
+		}
+		g, err := BuildWorkload(spec, n, seed)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", spec, err)
+		}
+		for _, s := range specs {
+			row, _, err := runCell(s, g, seed, 0, false)
+			if err != nil {
+				return nil, fmt.Errorf("scenario %s, %s: %w", spec, row.Mode, err)
+			}
+			rep.Rows = append(rep.Rows, benchfmt.QualityRow{
+				Scenario: sc.Name, Mode: row.Mode, N: g.N(), M: g.M(), Bound: 2*k - 1,
+				Edges: row.Size, Lightness: row.Lightness,
+				Stretch: row.Stretch, StretchP99: row.StretchP99,
+				GreedyEdges: row.GreedyEdges, GreedyLightness: row.GreedyLightness,
+				GreedyStretch: row.GreedyStretch, RatioVsGreedy: row.RatioVsGreedy,
+			})
+		}
+	}
+	return rep, nil
 }
 
 // aliveEdgeIDs lists the edges with both endpoints in the surviving

@@ -49,6 +49,33 @@ func TestCommittedGridsLoad(t *testing.T) {
 	}
 }
 
+// TestLoadGridRejectsUnknownKeys: a misspelt key fails the load with an
+// error naming it, instead of leaving the knob at its default.
+func TestLoadGridRejectsUnknownKeys(t *testing.T) {
+	for _, tc := range []struct{ body, key string }{
+		{`{"sizes": [32], "experiments": [{"construction": "spanner", "verfy": true}]}`, "verfy"},
+		{`{"size": [32], "experiments": [{"construction": "spanner"}]}`, "size"},
+		{`{"sizes": [32], "experiments": [{"construction": "slt", "mode": "measured", "faults": {"dorp": 0.1}}]}`, "dorp"},
+	} {
+		path := filepath.Join(t.TempDir(), "grid.json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadGrid(path)
+		if err == nil || !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+			t.Fatalf("grid with key %q: err = %v, want an error naming it", tc.key, err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "grid.json")
+	body := `{"sizes": [32], "experiments": [{"construction": "spanner"}]} {}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadGrid(path); err == nil {
+		t.Fatal("grid with trailing data loaded")
+	}
+}
+
 func TestGridValidateRejects(t *testing.T) {
 	bad := []Grid{
 		{Sizes: []int{64}, Experiments: []Spec{{Construction: "nope"}}},

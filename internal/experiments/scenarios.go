@@ -18,9 +18,9 @@ import (
 //	name                      // defaults, e.g. "geometric"
 //	name:key=val,key=val      // overrides, e.g. "ba:m=4,maxw=10"
 //
-// The same spec is accepted by the grid JSON "workloads" array, by
-// `lightnet -graph`, and by `cmd/benchengine -scenario`, so every
-// experiment cell is reproducible from (spec, n, seed) alone. The
+// The same spec is accepted by the grid JSON "workloads" array and by
+// `lightnet -graph`, so every experiment cell is reproducible from
+// (spec, n, seed) alone. The
 // catalog — parameters, expected doubling dimension, edge-count
 // asymptotics, grid snippets — is documented in docs/SCENARIOS.md.
 
@@ -155,7 +155,7 @@ var scenarioList = []*Scenario{
 	},
 	{
 		Name:    "grid",
-		Summary: "⌊√n⌋×⌊√n⌋ grid with random weights, doubling dimension ≈ 2",
+		Summary: "⌈√n⌉×⌈√n⌉ grid with random weights (n rounds up to a square), doubling dimension ≈ 2",
 		Params: []ParamSpec{
 			{Name: "maxw", Default: "4", Doc: "max edge weight"},
 		},

@@ -47,6 +47,14 @@ func TestScenarioLegacyCompat(t *testing.T) {
 			t.Fatalf("%s: registry output differs from the legacy builder", tc.spec)
 		}
 	}
+	// The grid side is ⌈√n⌉, so a non-square n rounds up: 18×18 at 300.
+	g, err := BuildWorkload("grid", 300, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() != 324 {
+		t.Fatalf("grid at n=300 has %d vertices, want 324", g.N())
+	}
 }
 
 // TestScenarioSpecParsing covers spec syntax, parameter merging and

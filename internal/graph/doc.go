@@ -41,7 +41,7 @@
 // million-point instances are practical. UnitBallGraph output is
 // bit-identical to the O(n²) reference UnitBallGraphBrute, which is
 // retained as the test oracle and benchmark baseline (see
-// cmd/benchgen and BENCH_generators.json).
+// `lightnet bench -kind generators` and BENCH_generators.json).
 //
 // Real-world graphs enter through io.go: Read/WriteTo round-trip the
 // repo's own format and edge ids, and ReadEdgeList ingests the

@@ -218,7 +218,7 @@ func reconnectAndBuild(g *Graph, pts *Points, pend []pe, minD float64) *Graph {
 // UnitBallGraph: a full pair scan plus a quadratic closest-cross-pair
 // reconnection. It defines the expected output bit for bit; the
 // spatial-hash builder is oracle-tested against it and benchmarked
-// against it in cmd/benchgen.
+// against it by `lightnet bench -kind generators`.
 func UnitBallGraphBrute(pts *Points, radius float64) *Graph {
 	n := pts.N()
 	g := New(n)

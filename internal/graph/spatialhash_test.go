@@ -169,8 +169,8 @@ func TestNearestForeignMatchesBrute(t *testing.T) {
 
 // BenchmarkUnitBallGrid measures the spatial-hash geometric builder at
 // bench scale (the 100k-point brute-force comparison lives in
-// cmd/benchgen and BENCH_generators.json — too slow for the test
-// suite).
+// `lightnet bench -kind generators` and BENCH_generators.json — too
+// slow for the test suite).
 func BenchmarkUnitBallGrid(b *testing.B) {
 	n := 20000
 	pts := RandomPoints(n, 2, 1, 1)

@@ -1,7 +1,7 @@
 // Package profiling wires the standard pprof/trace hooks behind the
-// -cpuprofile/-memprofile/-trace flags of the measurement commands
-// (cmd/benchengine, lightnet bench), so one invocation yields both the
-// measured report and the profile of exactly the measured path:
+// -cpuprofile/-memprofile/-trace flags of `lightnet bench` (every
+// kind), so one invocation yields both the measured report and the
+// profile of exactly the measured path:
 //
 //	go tool pprof -top cpu.pprof
 //	go tool trace trace.out

@@ -11,9 +11,9 @@ import (
 // quality oracle: it shares no code with the §5 construction (no MST, no
 // buckets, no sampling hashes), so agreement between the two is evidence
 // about the algorithms, not about a shared bug. The CI quality gate
-// (cmd/benchquality + cmd/benchdiff -kind quality) compares the built
-// spanner's lightness against this baseline on every registry scenario
-// and pins the ratio in BENCH_quality.json.
+// (`lightnet bench -kind quality` + cmd/benchdiff -kind quality)
+// compares the built spanner's lightness against this baseline on every
+// registry scenario and pins the ratio in BENCH_quality.json.
 //
 // Two properties make it an oracle rather than a competitor:
 //
