@@ -385,11 +385,11 @@ func BenchmarkEngine(b *testing.B) {
 		}
 		b.ReportMetric(float64(rounds), "rounds")
 	})
-	b.Run("boruvka-mst", func(b *testing.B) {
+	b.Run("mst", func(b *testing.B) {
 		b.ReportAllocs()
 		var rounds int
 		for i := 0; i < b.N; i++ {
-			_, s, err := congest.RunBoruvka(er, 0, int64(i))
+			_, s, err := congest.RunMST(er, int64(i))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -564,8 +564,8 @@ func runEngineDemos(g *lightnet.Graph, seed int64) error {
 	} else {
 		return err
 	}
-	if _, s, err := congest.RunBoruvka(g, 0, seed); err == nil {
-		fmt.Printf("%-22s %8d %10d %8d\n", "boruvka-mst", s.Rounds, s.Messages, s.Phases)
+	if _, s, err := congest.RunMST(g, seed); err == nil {
+		fmt.Printf("%-22s %8d %10d %8d\n", "mst", s.Rounds, s.Messages, s.Phases)
 	} else {
 		return err
 	}

@@ -21,7 +21,7 @@ type EngineStats struct {
 	// Messages is the number of messages sent.
 	Messages int64
 	// Phases is the number of global phases (for multi-phase programs
-	// such as Borůvka and Luby MIS).
+	// such as the MST and Luby MIS).
 	Phases int
 	// Stages is the ordered per-stage breakdown for pipeline runs
 	// (DistributedSLT); nil for elementary single-program runs.
@@ -32,10 +32,14 @@ func engineStats(s congest.Stats) EngineStats {
 	return EngineStats{Rounds: s.Rounds, Messages: s.Messages, Phases: s.Phases}
 }
 
-// DistributedMST runs the Borůvka/controlled-GHS program: the MST of g
-// computed by message passing in O(log n) merge phases.
+// DistributedMST computes the MST of g (a spanning forest if g is
+// disconnected) by message passing: a BFS tree from vertex 0, then the
+// two-phase Õ(√n + D) MST of [KP98] — fragments merged for ⌈log₂ n⌉
+// phases until they reach ⌈√n⌉ vertices, then a pipelined upcast of the
+// inter-fragment edges over the BFS tree. The statistics cover both
+// stages.
 func DistributedMST(g *Graph, seed int64) ([]EdgeID, EngineStats, error) {
-	edges, s, err := congest.RunBoruvka(g, 0, seed)
+	edges, s, err := congest.RunMST(g, seed)
 	if err != nil {
 		return nil, engineStats(s), fmt.Errorf("lightnet: %w", err)
 	}
@@ -53,7 +57,7 @@ func DistributedBFS(g *Graph, root Vertex, seed int64) ([]EdgeID, []int32, Engin
 }
 
 // DistributedSLT builds the §4 shallow-light tree entirely as engine
-// message passing: the Borůvka MST, tree rooting, Bellman-Ford SPT,
+// message passing: the BFS tree, the two-phase MST, tree rooting, Bellman-Ford SPT,
 // Euler-tour positioning, two-phase break-point selection and final SPT
 // inside H all run as per-vertex programs on one pipeline (see
 // internal/congest.Pipeline). The returned statistics are measured per
@@ -72,7 +76,7 @@ func DistributedSLT(g *Graph, root Vertex, eps float64, seed int64) (*SLTResult,
 }
 
 // DistributedLightSpanner builds the §5 light spanner entirely as
-// engine message passing: the Borůvka MST, the MST-weight convergecast
+// engine message passing: the BFS tree, the two-phase MST, the MST-weight convergecast
 // and flood that anchor the weight buckets, and every bucket's Baswana-Sen
 // clustering run as per-vertex programs on one pipeline (see
 // internal/congest.Pipeline). The returned statistics are measured per

@@ -19,11 +19,11 @@ import (
 	"lightnet/internal/sssp"
 )
 
-// The genuine distributed MST (engine Borůvka) must feed the Euler tour
+// The genuine distributed MST (congest.RunMST) must feed the Euler tour
 // and SLT pipeline exactly like the Kruskal oracle does.
 func TestIntegrationDistributedMSTFeedsEulerAndSLT(t *testing.T) {
 	g := graph.ErdosRenyi(120, 0.08, 15, 3)
-	bEdges, stats, err := congest.RunBoruvka(g, 0, 1)
+	bEdges, stats, err := congest.RunMST(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestIntegrationDistributedMSTFeedsEulerAndSLT(t *testing.T) {
 	bm, km := sortIDs(bEdges), sortIDs(kEdges)
 	for id := range km {
 		if !bm[id] {
-			t.Fatalf("edge %d in Kruskal MST but not Borůvka MST", id)
+			t.Fatalf("edge %d in Kruskal MST but not distributed MST", id)
 		}
 	}
 }

@@ -184,7 +184,7 @@ func TestRunBoruvkaMatchesKruskalWeight(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			edges, stats, err := RunBoruvka(tt.g, 0, 1)
+			edges, stats, err := RunMST(tt.g, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,11 +193,11 @@ func TestRunBoruvkaMatchesKruskalWeight(t *testing.T) {
 			}
 			sub := tt.g.Subgraph(edges)
 			if !sub.Connected() {
-				t.Fatal("Borůvka output disconnected")
+				t.Fatal("MST output disconnected")
 			}
 			want := kruskalWeight(tt.g)
 			if got := tt.g.WeightOf(edges); math.Abs(got-want) > 1e-9 {
-				t.Fatalf("Borůvka weight %v, Kruskal weight %v", got, want)
+				t.Fatalf("MST weight %v, Kruskal weight %v", got, want)
 			}
 			if stats.Phases < 3 {
 				t.Fatalf("suspiciously few phases: %d", stats.Phases)
@@ -465,12 +465,12 @@ func TestLedger(t *testing.T) {
 	}
 }
 
-// Property: Borůvka equals Kruskal on random graphs.
+// Property: the distributed MST equals Kruskal on random graphs.
 func TestBoruvkaKruskalQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		n := 15 + int(uint64(seed)%20)
 		g := graph.ErdosRenyi(n, 0.2, 8, seed)
-		edges, _, err := RunBoruvka(g, 0, seed)
+		edges, _, err := RunMST(g, seed)
 		if err != nil {
 			return false
 		}

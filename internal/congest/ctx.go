@@ -118,7 +118,7 @@ func (c *Ctx) Send(via graph.EdgeID, words ...int64) error {
 	slot := int32(via)<<1 | int32(dir)
 	if e.used[slot] == e.batch {
 		// Bare sentinel, no wrapping: a busy edge is expected control
-		// flow (Broadcast skips it, Borůvka's relabel tolerates it), and
+		// flow (Broadcast skips it, the MST's sends tolerate it), and
 		// wrapping would allocate on every such send in the hot loop.
 		return ErrEdgeBusy
 	}

@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"lightnet/internal/graph"
@@ -51,19 +52,15 @@ func TestEngineDeterministicBFS(t *testing.T) {
 
 // TestEngineDeterministicBoruvka: the built subgraph (MST edge set) must
 // be identical for every worker count. Also the designated -race
-// exercise of the worker pool on the Borůvka program.
+// exercise of the worker pool on the MST program.
 func TestEngineDeterministicBoruvka(t *testing.T) {
 	g := graph.RandomGeometric(300, 2, 13)
-	run := func(workers int) ([]bool, Stats) {
-		inTree := make([]bool, g.M())
-		eng := NewEngine(g, func(graph.Vertex) Program {
-			return &boruvkaProgram{inTree: inTree}
-		}, Options{Seed: 5, Workers: workers, MaxRounds: 16*g.N() + 1024})
-		stats, err := eng.Run()
+	run := func(workers int) ([]graph.EdgeID, Stats) {
+		edges, stats, err := RunMSTWorkers(g, 5, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return inTree, stats
+		return edges, stats
 	}
 	refTree, refStats := run(1)
 	for _, w := range workerCounts[1:] {
@@ -71,10 +68,8 @@ func TestEngineDeterministicBoruvka(t *testing.T) {
 		if stats != refStats {
 			t.Fatalf("workers=%d stats differ: %+v vs %+v", w, stats, refStats)
 		}
-		for id := range refTree {
-			if tree[id] != refTree[id] {
-				t.Fatalf("workers=%d edge %d: membership differs", w, id)
-			}
+		if !slices.Equal(tree, refTree) {
+			t.Fatalf("workers=%d: MST edge sets differ", w)
 		}
 	}
 }

@@ -10,7 +10,7 @@
 //     (at most one message per edge direction per round, bounded message
 //     size) and accounts rounds and messages. The elementary distributed
 //     algorithms of the paper (BFS trees, pipelined broadcast — Lemma 1,
-//     convergecast, Bellman-Ford, Borůvka fragments, Luby MIS, the
+//     convergecast, Bellman-Ford, the two-phase MST, Luby MIS, the
 //     [EN17b] unweighted spanner) run on this engine. The convergecast
 //     (convergecast.go, CastPass) runs passes of an integer max or sum
 //     up a rooted tree in O(D) rounds; its result does not depend on the

@@ -298,8 +298,6 @@ func (e *Engine) runProgram() error {
 		if !more {
 			return nil
 		}
-		e.stats.Rounds += e.opts.PhaseSyncCost
-		e.stats.SyncCosts += e.opts.PhaseSyncCost
 	}
 }
 

@@ -27,7 +27,7 @@ type Message struct {
 // vertex when the whole network is quiescent (no messages in flight, all
 // vertices idle); returning true re-activates the vertex for another
 // phase. PhaseDone models a global synchronization barrier; the engine
-// charges its cost separately (see Options.PhaseSyncCost).
+// counts barriers in Stats.Phases and charges them no rounds.
 //
 // Handle may run concurrently with the Handle of other vertices (see
 // Options.Workers). A Program must therefore confine its writes to its
@@ -65,11 +65,6 @@ type Options struct {
 	MaxRounds int
 	// Seed seeds the per-vertex deterministic RNGs.
 	Seed int64
-	// PhaseSyncCost is the number of rounds charged for each global
-	// phase barrier (quiescence detection is O(D) in CONGEST via a BFS
-	// tree). Default 0; callers that use phases and want the barrier
-	// charged pass the graph's hop-diameter.
-	PhaseSyncCost int
 	// Trace, when non-nil, collects per-round activity.
 	Trace *Trace
 	// Faults, when non-nil and active, injects deterministic message and
@@ -92,10 +87,9 @@ type Options struct {
 
 // Stats accumulates the cost of a run.
 type Stats struct {
-	Rounds    int // synchronous rounds executed (incl. phase sync charges)
-	Messages  int64
-	Words     int64
-	MaxWords  int // largest message observed
-	Phases    int
-	SyncCosts int // rounds charged for phase barriers (included in Rounds)
+	Rounds   int // synchronous rounds executed
+	Messages int64
+	Words    int64
+	MaxWords int // largest message observed
+	Phases   int // global phase barriers passed
 }

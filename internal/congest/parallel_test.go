@@ -36,19 +36,9 @@ func TestParallelMatchesSequentialBFS(t *testing.T) {
 func TestParallelMatchesSequentialBoruvka(t *testing.T) {
 	g := graph.RandomGeometric(150, 2, 5)
 	run := func(workers int) ([]graph.EdgeID, Stats) {
-		inTree := make([]bool, g.M())
-		eng := NewEngine(g, func(graph.Vertex) Program {
-			return &boruvkaProgram{inTree: inTree}
-		}, Options{Seed: 2, Workers: workers, MaxRounds: 16*g.N() + 1024})
-		stats, err := eng.Run()
+		edges, stats, err := RunMSTWorkers(g, 2, workers)
 		if err != nil {
 			t.Fatal(err)
-		}
-		var edges []graph.EdgeID
-		for id, in := range inTree {
-			if in {
-				edges = append(edges, graph.EdgeID(id))
-			}
 		}
 		return edges, stats
 	}

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"time"
 
 	"lightnet/internal/graph"
 )
@@ -24,8 +25,9 @@ import (
 //     slices: the stage programs of one construction share a state
 //     struct and each vertex writes only its own slots, exactly the
 //     contract Program already imposes for the worker pool;
-//   - records per-stage Stats next to the engine's cumulative Stats, so
-//     a pipeline's cost is analyzable phase by phase;
+//   - records per-stage Stats and wall time next to the engine's
+//     cumulative Stats, so a pipeline's cost is analyzable phase by
+//     phase;
 //   - optionally restricts a stage to an edge subset (Restrict): sends
 //     outside the subset fail, Broadcast skips them. A BFS program run
 //     under Restrict(treeEdges) roots a tree without knowing it is not
@@ -44,11 +46,14 @@ type Pipeline struct {
 
 // StageStats is the measured cost of one pipeline stage. Stats
 // accumulates across every attempt of the stage; Attempts is 1 for a
-// stage that passed first time.
+// stage that passed first time. Wall is the stage's elapsed time over
+// all attempts: it depends on the host, so unlike the other fields it
+// differs between runs and is left out of every bit-identity check.
 type StageStats struct {
 	Name     string
 	Stats    Stats
 	Attempts int
+	Wall     time.Duration
 }
 
 // NewPipeline builds a pipeline over g. The graph is frozen to its CSR
@@ -150,6 +155,7 @@ func (p *Pipeline) RunStage(name string, factory func(v graph.Vertex) Program, s
 		p.err = fmt.Errorf("congest: stage %q: Verts requires Restrict (unrestricted traffic could reach unlisted vertices)", name)
 		return Stats{}, p.err
 	}
+	start := time.Now()
 	before := e.stats
 	e.restrict = cfg.restrict
 	e.verts = cfg.verts
@@ -202,17 +208,16 @@ func (p *Pipeline) RunStage(name string, factory func(v graph.Vertex) Program, s
 	e.restrict = nil
 	e.verts = nil
 	st := Stats{
-		Rounds:    e.stats.Rounds - before.Rounds,
-		Messages:  e.stats.Messages - before.Messages,
-		Words:     e.stats.Words - before.Words,
-		MaxWords:  e.stats.MaxWords,
-		Phases:    e.stats.Phases - before.Phases,
-		SyncCosts: e.stats.SyncCosts - before.SyncCosts,
+		Rounds:   e.stats.Rounds - before.Rounds,
+		Messages: e.stats.Messages - before.Messages,
+		Words:    e.stats.Words - before.Words,
+		MaxWords: e.stats.MaxWords,
+		Phases:   e.stats.Phases - before.Phases,
 	}
 	if before.MaxWords > e.stats.MaxWords {
 		e.stats.MaxWords = before.MaxWords // restore the cumulative peak
 	}
-	p.stages = append(p.stages, StageStats{Name: name, Stats: st, Attempts: attempts})
+	p.stages = append(p.stages, StageStats{Name: name, Stats: st, Attempts: attempts, Wall: time.Since(start)})
 	p.retries += attempts - 1
 	if err != nil {
 		p.err = err

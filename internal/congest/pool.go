@@ -44,31 +44,39 @@ func (sp *StagePool[P]) Slots(n int) []P {
 }
 
 // StagePools bundles pooled per-vertex state for the engine-owned stage
-// programs (Borůvka MST, BFS tree, convergecast, word flood). A
+// programs (MST, BFS tree, convergecast, word flood). A
 // measured pipeline allocates one StagePools next to its
 // congest.Pipeline and builds its stage factories from its methods, so
 // each stage reuses the previous stage's program slice and per-vertex
 // scratch instead of allocating n fresh objects.
 type StagePools struct {
-	boruvka StagePool[boruvkaProgram]
-	bfs     StagePool[bfsProgram]
-	cast    StagePool[convergecastProgram]
-	flood   StagePool[floodWordProgram]
+	mst   StagePool[mstProgram]
+	bfs   StagePool[bfsProgram]
+	cast  StagePool[convergecastProgram]
+	flood StagePool[floodWordProgram]
 }
 
-// Boruvka is the Borůvka MST stage for a graph of n vertices. inTree
-// must have length M; the program sets the slots of the adopted tree
-// edges. The stage's round budget should be ~16n (see RunBoruvka's
-// MaxRounds).
-func (sp *StagePools) Boruvka(n int, inTree []bool) func(graph.Vertex) Program {
-	slots := sp.boruvka.Slots(n)
+// MST is the two-phase MST stage (see mstProgram) for a graph of n
+// vertices. It must run after a BFS stage from root whose parent edges
+// are bfsParent. inTree must have length M; the stage sets the slots of
+// the MST edges (of the spanning forest, on a disconnected graph). frag,
+// if non-nil (length N), receives each vertex's fragment label after
+// phase 1: the id of its fragment's root. seed drives the head/tail
+// coins, which change the cost but never the tree.
+func (sp *StagePools) MST(n int, root graph.Vertex, bfsParent []graph.EdgeID, seed int64, inTree []bool, frag []int64) func(graph.Vertex) Program {
+	slots := sp.mst.Slots(n)
+	shared := &mstShared{
+		inTree: inTree, frag: frag, bfsParent: bfsParent, root: root,
+		seed: seed, iters: mstIterations(n), cap: ceilSqrt(n),
+	}
 	return func(v graph.Vertex) Program {
 		p := &slots[v]
-		*p = boruvkaProgram{
-			inTree:    inTree,
+		*p = mstProgram{
+			mstShared: shared,
 			nbrFrag:   p.nbrFrag[:0],
-			treeAdj:   p.treeAdj[:0],
 			treeEdges: p.treeEdges[:0],
+			reqs:      p.reqs[:0],
+			fresh:     p.fresh[:0],
 		}
 		return p
 	}

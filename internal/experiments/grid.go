@@ -78,7 +78,10 @@ type Spec struct {
 	// separation). Expensive on large graphs. Default false.
 	Verify bool `json:"verify"`
 	// Program selects the engine program for construction "engine":
-	// bfs | boruvka | mis | en17. Default bfs.
+	// bfs | boruvka | mis | en17. Default bfs. "boruvka" names the
+	// distributed MST (congest.RunMST: a BFS tree, then the two-phase
+	// MST); the key predates that program and is kept so committed
+	// grids still load.
 	Program string `json:"program"`
 	// Mode selects accounted (default) or measured execution for
 	// constructions that support both; "measured" runs the construction
@@ -732,7 +735,7 @@ func degradedSLTStretch(g *graph.Graph, res *slt.Result) (float64, error) {
 func runEngineCell(program string, g *graph.Graph, seed int64, workers int) (congest.Stats, int, error) {
 	switch program {
 	case "boruvka":
-		edges, stats, err := congest.RunBoruvkaWorkers(g, 0, seed, workers)
+		edges, stats, err := congest.RunMSTWorkers(g, seed, workers)
 		return stats, len(edges), err
 	case "mis":
 		inMIS, stats, err := congest.RunLubyMISWorkers(g, seed, workers)

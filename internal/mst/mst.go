@@ -71,7 +71,7 @@ func (u *UnionFind) Same(a, b int32) bool { return u.Find(a) == u.Find(b) }
 
 // Kruskal computes the MST edge ids and total weight. Ties are broken by
 // edge id, making the MST unique and consistent with the distributed
-// Borůvka construction.
+// construction (congest.RunMST).
 func Kruskal(g *graph.Graph) ([]graph.EdgeID, float64, error) {
 	out, trees := KruskalSubset(g, nil)
 	if trees > 1 {

@@ -107,12 +107,12 @@ func TestKruskalMatchesDistributedBoruvka(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		be, stats, err := congest.RunBoruvka(g, 0, seed)
+		be, stats, err := congest.RunMST(g, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(g.WeightOf(be)-kw) > 1e-9 {
-			t.Fatalf("seed %d: Borůvka %v vs Kruskal %v", seed, g.WeightOf(be), kw)
+			t.Fatalf("seed %d: distributed MST %v vs Kruskal %v", seed, g.WeightOf(be), kw)
 		}
 		if len(be) != len(ke) {
 			t.Fatalf("edge counts differ: %d vs %d", len(be), len(ke))

@@ -7,13 +7,16 @@ package slt
 // counts the rounds and messages that actually cross the edges:
 //
 //	stage       program                               §/primitive
-//	mst         Borůvka/controlled-GHS                §3 (MST)
+//	bfs         BFS tree of G                         Lemma 1 substrate
+//	mst         two-phase MST: fragments merged up    §3 ([KP98] MST)
+//	            to ⌈√n⌉ vertices, then a pipelined
+//	            upcast of inter-fragment edges over
+//	            the bfs tree (congest.StagePools.MST)
 //	tree        BFS flood restricted to tree edges    §3 (rooting)
 //	spt         Bellman-Ford on perturbed weights     §4 ([BKKL17] substitute)
 //	spt-dist    true-distance downcast over the SPT   (re-measuring)
 //	euler-up    subtree tour-length convergecast      §3.2 (ℓ, g)
 //	euler-down  DFS interval-start downcast           §3.3 (t(v))
-//	bfs         BFS tree of G                         Lemma 1 substrate
 //	bp-walk     interval walkers along the tour       §4.1 phase 1
 //	bp-heads    head-tuple upcast to rt               §4.1 phase 2 (up)
 //	bp-select   central filter + reverse routing      §4.1 phase 2 (down)
@@ -127,7 +130,7 @@ func buildMeasured(g *graph.Graph, rt graph.Vertex, eps float64, opts Options) (
 	pipe := congest.NewPipeline(g, congest.Options{
 		Seed:      opts.Seed,
 		Workers:   opts.Workers,
-		MaxRounds: 16*n + 1024, // Borůvka's budget; ample for every stage
+		MaxRounds: 16*n + 1024, // per stage; far above what any stage needs
 		Faults:    faults,
 	})
 	// Stage-state pools: every stage resets per-vertex program slots in
@@ -161,6 +164,17 @@ func buildMeasured(g *graph.Graph, rt graph.Vertex, eps float64, opts Options) (
 		return so
 	}
 
+	var bfsValidate func() error
+	if faulty {
+		wantHops := g.BFSHopsMasked(rt, aliveEdges)
+		bfsValidate = func() error {
+			return congest.CheckBFS(g, rt, alive, st.bfsParent, st.bfsDepth, wantHops)
+		}
+	}
+	if err := run("bfs", pools.BFS(n, rt, st.bfsParent, st.bfsDepth),
+		stage(nil, bfsValidate, nil)...); err != nil {
+		return nil, fmt.Errorf("slt: %w", err)
+	}
 	var mstValidate func() error
 	if faulty {
 		// Oracle: the spanning forest of the usable subgraph is unique
@@ -189,7 +203,7 @@ func buildMeasured(g *graph.Graph, rt graph.Vertex, eps float64, opts Options) (
 			st.inTree[i] = false
 		}
 	}
-	if err := run("mst", pools.Boruvka(n, st.inTree), stage(nil, mstValidate, mstReset)...); err != nil {
+	if err := run("mst", pools.MST(n, rt, st.bfsParent, opts.Seed, st.inTree, nil), stage(nil, mstValidate, mstReset)...); err != nil {
 		return nil, fmt.Errorf("slt: %w", err)
 	}
 	treeEdges := 0
@@ -249,17 +263,6 @@ func buildMeasured(g *graph.Graph, rt graph.Vertex, eps float64, opts Options) (
 		return nil, fmt.Errorf("slt: %w", err)
 	}
 	if err := run("euler-down", sp.eulerDownFactory(n, st), stage(st.inTree, eulerDownValidate, nil)...); err != nil {
-		return nil, fmt.Errorf("slt: %w", err)
-	}
-	var bfsValidate func() error
-	if faulty {
-		wantHops := g.BFSHopsMasked(rt, aliveEdges)
-		bfsValidate = func() error {
-			return congest.CheckBFS(g, rt, alive, st.bfsParent, st.bfsDepth, wantHops)
-		}
-	}
-	if err := run("bfs", pools.BFS(n, rt, st.bfsParent, st.bfsDepth),
-		stage(nil, bfsValidate, nil)...); err != nil {
 		return nil, fmt.Errorf("slt: %w", err)
 	}
 	var walkValidate, headsValidate, selectValidate, hMarkValidate func() error

@@ -14,7 +14,7 @@
 //
 // Execution modes: Accounted (default) runs sequentially and charges the
 // paper's round formulas to the ledger; Measured (Options.Mode) runs the
-// whole construction — Borůvka MST, BFS tree, MST-weight convergecast
+// whole construction — BFS tree, two-phase MST, MST-weight convergecast
 // and flood, and every bucket's Baswana-Sen clustering — as genuine
 // per-vertex message passing on one congest.Pipeline, with per-stage
 // measured statistics. Both modes produce bit-identical spanners for the

@@ -8,8 +8,11 @@ package spanner
 // the rounds and messages that actually cross the edges:
 //
 //	stage            program                              §/primitive
-//	mst              Borůvka/controlled-GHS               §3 (MST)
 //	bfs              BFS tree of G                        Lemma 1 substrate
+//	mst              two-phase MST: fragments merged up   §3 ([KP98] MST)
+//	                 to ⌈√n⌉ vertices, then a pipelined
+//	                 upcast of inter-fragment edges over
+//	                 the bfs tree (congest.StagePools.MST)
 //	mst-weight-up    two-pass convergecast over the BFS   Lemma 1 upcast
 //	                 tree: max of w, then Σq(w) (mstAnchor)
 //	mst-weight-down  flood of L ≈ 2·w(MST)                Lemma 1 broadcast
@@ -109,7 +112,7 @@ func buildMeasured(g *graph.Graph, k int, eps float64, opts Options) (*Result, e
 	pipe := congest.NewPipeline(g, congest.Options{
 		Seed:      opts.Seed,
 		Workers:   opts.Workers,
-		MaxRounds: 16*n + 1024, // Borůvka's budget; ample for every stage
+		MaxRounds: 16*n + 1024, // per stage; far above what any stage needs
 		Faults:    faults,
 	})
 	// Stage-state pools: every stage resets per-vertex program slots in
@@ -139,12 +142,25 @@ func buildMeasured(g *graph.Graph, k int, eps float64, opts Options) (*Result, e
 		return so
 	}
 
+	bfsParent := make([]graph.EdgeID, n)
+	bfsDepth := make([]int32, n)
+	var bfsValidate func() error
+	if faulty {
+		wantDepth := g.BFSHopsMasked(rt, aliveEdges)
+		bfsValidate = func() error {
+			return congest.CheckBFS(g, rt, alive, bfsParent, bfsDepth, wantDepth)
+		}
+	}
+	if err := run("bfs", pools.BFS(n, rt, bfsParent, bfsDepth), stage(aliveEdges, bfsValidate, nil)...); err != nil {
+		return nil, fmt.Errorf("spanner: %w", err)
+	}
+
 	inTree := make([]bool, m)
 	var mstValidate func() error
 	var wantTree []graph.EdgeID
 	if faulty {
 		// Oracle: the spanning forest of the usable subgraph is unique
-		// under the total (w, id) edge order — distributed Borůvka must
+		// under the total (w, id) edge order — the distributed MST must
 		// reproduce it exactly.
 		wantTree, _ = mst.KruskalSubset(g, aliveEdges)
 		mstValidate = func() error {
@@ -170,7 +186,7 @@ func buildMeasured(g *graph.Graph, k int, eps float64, opts Options) (*Result, e
 			inTree[i] = false
 		}
 	}
-	if err := run("mst", pools.Boruvka(n, inTree), stage(aliveEdges, mstValidate, mstReset)...); err != nil {
+	if err := run("mst", pools.MST(n, rt, bfsParent, opts.Seed, inTree, nil), stage(aliveEdges, mstValidate, mstReset)...); err != nil {
 		return nil, fmt.Errorf("spanner: %w", err)
 	}
 	treeEdges := 0
@@ -181,18 +197,6 @@ func buildMeasured(g *graph.Graph, k int, eps float64, opts Options) (*Result, e
 	}
 	if treeEdges != compN-1 {
 		return nil, fmt.Errorf("spanner: %w", mst.ErrDisconnected)
-	}
-	bfsParent := make([]graph.EdgeID, n)
-	bfsDepth := make([]int32, n)
-	var bfsValidate func() error
-	if faulty {
-		wantDepth := g.BFSHopsMasked(rt, aliveEdges)
-		bfsValidate = func() error {
-			return congest.CheckBFS(g, rt, alive, bfsParent, bfsDepth, wantDepth)
-		}
-	}
-	if err := run("bfs", pools.BFS(n, rt, bfsParent, bfsDepth), stage(aliveEdges, bfsValidate, nil)...); err != nil {
-		return nil, fmt.Errorf("spanner: %w", err)
 	}
 
 	// L: the order-free two-pass convergecast of mstAnchor over the BFS

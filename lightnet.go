@@ -235,7 +235,7 @@ type SpannerResult struct {
 // BuildLightSpanner builds the §5 spanner: stretch (2k−1)(1+ε),
 // O(k·n^{1+1/k}) edges, lightness O(k·n^{1/k}), in
 // Õ(n^{1/2+1/(4k+2)} + D) rounds. With WithMeasured the whole
-// construction — Borůvka MST, MST-weight fixing, and every weight
+// construction — BFS tree, two-phase MST, MST-weight fixing, and every weight
 // bucket's Baswana-Sen clustering — executes as per-vertex message
 // passing on the CONGEST engine and the cost is measured rather than
 // charged.

@@ -216,3 +216,54 @@ func TestScalingEngineRounds(t *testing.T) {
 		}
 	}
 }
+
+// TestScalingMSTStageShape: the mst stage of both measured pipelines
+// costs Õ(√n + D) rounds — at most mstShapeC·(√n + D)·log₂n, D the
+// depth of the bfs stage's tree — on the [KRY95] fan, where flooding a
+// fragment tree would cost Θ(n), and on knn graphs.
+func TestScalingMSTStageShape(t *testing.T) {
+	const mstShapeC = 2.0
+	type workload struct {
+		kind string
+		n    int
+	}
+	cases := []workload{{"lbfan", 1024}, {"lbfan", 4096}, {"knn", 5000}}
+	if !testing.Short() {
+		cases = append(cases, workload{"lbfan", 16384}, workload{"knn", 20000})
+	}
+	for _, c := range cases {
+		g, err := experiments.BuildWorkload(c.kind, c.n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var depth int32
+		for _, d := range g.BFSHops(0) {
+			depth = max(depth, d)
+		}
+		limit := mstShapeC * (math.Sqrt(float64(c.n)) + float64(depth)) * math.Log2(float64(c.n))
+		s, err := BuildSLT(g, 0, 0.5, WithSeed(1), WithMeasured(), WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := BuildLightSpanner(g, 2, 0.25, WithSeed(1), WithMeasured(), WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []struct {
+			name string
+			cost Cost
+		}{{"slt", s.Cost}, {"spanner", sp.Cost}} {
+			var rounds int64 = -1
+			for _, st := range p.cost.Stages {
+				if st.Stage == "mst" {
+					rounds = st.Rounds
+				}
+			}
+			t.Logf("%s n=%d %s: mst %d rounds, D=%d, bound %.0f", c.kind, c.n, p.name, rounds, depth, limit)
+			if rounds < 0 || float64(rounds) > limit {
+				t.Fatalf("%s n=%d %s: mst stage took %d rounds, want <= %g·(√n + %d)·log₂n = %.0f",
+					c.kind, c.n, p.name, rounds, mstShapeC, depth, limit)
+			}
+		}
+	}
+}

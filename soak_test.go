@@ -84,7 +84,7 @@ func TestSoakEngineBoruvkaLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, _, err := congest.RunBoruvka(g, 0, 1)
+	be, _, err := congest.RunMST(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
