@@ -593,14 +593,15 @@ func runEngineDemos(g *lightnet.Graph, seed int64) error {
 }
 
 // printBreakdown dumps a cost's per-stage breakdown one line deep:
-// measured pipelines in stage-execution order, accounted ledgers in the
-// canonical sorted-label order (Ledger.Labels) — both deterministic, so
-// CLI output is reproducible byte-for-byte.
+// measured pipelines as stage:rounds/messages in stage-execution order,
+// accounted ledgers as label:rounds in the canonical sorted-label order
+// (Ledger.Labels) — both deterministic, so CLI output is reproducible
+// byte-for-byte.
 func printBreakdown(c lightnet.Cost) {
 	parts := make([]string, 0, len(c.Breakdown))
 	if c.Measured {
 		for _, s := range c.Stages {
-			parts = append(parts, fmt.Sprintf("%s:%d", s.Stage, s.Rounds))
+			parts = append(parts, fmt.Sprintf("%s:%d/%d", s.Stage, s.Rounds, s.Messages))
 		}
 		fmt.Printf("stages: %s\n", strings.Join(parts, ";"))
 		return

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lightnet"
 )
 
 // TestBenchQualityReproducesBaseline: the quality kind, run from the
@@ -60,5 +63,31 @@ func TestBenchMisuse(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("runBench(%q) = %v, want an error containing %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestPrintBreakdownMeasured: a measured cost prints each stage as
+// stage:rounds/messages in execution order.
+func TestPrintBreakdownMeasured(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	printBreakdown(lightnet.Cost{Measured: true, Stages: []lightnet.StageCost{
+		{Stage: "bfs", Rounds: 12, Messages: 340},
+		{Stage: "tree", Rounds: 9, Messages: 99},
+	}})
+	os.Stdout = stdout
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "stages: bfs:12/340;tree:9/99\n"; string(got) != want {
+		t.Fatalf("printBreakdown printed %q, want %q", got, want)
 	}
 }

@@ -34,6 +34,34 @@ func (p *sparseEchoProgram) Handle(ctx *Ctx, inbox []Message) {
 	}
 }
 
+// pruningEchoProgram exercises Ctx.BroadcastExcept on the steady-state
+// path the way the receiver-aware programs do: a per-slot table of the
+// last word heard (HeardTable) and a skip closure that captures the
+// program, a local and the context. Stay keeps every vertex running, so
+// the engine never quiesces even on rounds that skip every slot.
+type pruningEchoProgram struct {
+	NoPhases
+	heard []int64
+}
+
+func (p *pruningEchoProgram) Init(ctx *Ctx) {
+	p.heard = HeardTable(ctx, p.heard, -1)
+	ctx.Stay()
+}
+
+func (p *pruningEchoProgram) Handle(ctx *Ctx, inbox []Message) {
+	for _, m := range inbox {
+		p.heard[ctx.SlotOf(m.Via)] = m.Words[0]
+	}
+	mine := int64(ctx.Round())
+	if err := ctx.BroadcastExcept(func(s int, h graph.Half) bool {
+		return (mine+int64(s)+int64(h.To))%3 == 0 && p.heard[s] >= 0
+	}, mine); err != nil {
+		ctx.Fail(err)
+	}
+	ctx.Stay()
+}
+
 // steadyEngine builds an engine, runs Init and enough warm-up rounds
 // for every reusable buffer (arenas, inboxes, worklists, dirty list,
 // stripes) to reach steady-state capacity, and returns it ready for
@@ -82,6 +110,13 @@ func TestSteadyStateAllocs(t *testing.T) {
 		a := graph.Vertex(g.N() / 2)
 		eng := steadyEngine(t, g, func(graph.Vertex) Program {
 			return &sparseEchoProgram{a: a}
+		})
+		assertZeroAllocRounds(t, eng)
+	})
+	// A receiver-aware broadcast's skip predicate must not allocate.
+	t.Run("broadcast-except", func(t *testing.T) {
+		eng := steadyEngine(t, graph.Grid(16, 16, 1, 2), func(graph.Vertex) Program {
+			return &pruningEchoProgram{}
 		})
 		assertZeroAllocRounds(t, eng)
 	})

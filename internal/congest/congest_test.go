@@ -139,7 +139,7 @@ func TestConvergecastSum(t *testing.T) {
 
 func TestRunBellmanFordExactWhenHLarge(t *testing.T) {
 	g := graph.ErdosRenyi(70, 0.1, 9, 5)
-	dist, _, err := RunBellmanFord(g, 0, g.N(), 1)
+	dist, _, _, err := RunNearestSource(g, []graph.Vertex{0}, g.N(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRunBellmanFordExactWhenHLarge(t *testing.T) {
 func TestRunBellmanFordHopBounded(t *testing.T) {
 	g := graph.ErdosRenyi(50, 0.12, 7, 9)
 	for _, h := range []int{1, 2, 4, 8} {
-		dist, stats, err := RunBellmanFord(g, 3, h, 1)
+		dist, _, stats, err := RunNearestSource(g, []graph.Vertex{3}, h, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -156,8 +156,23 @@ func (c *Ctx) SendTo(to graph.Vertex, words ...int64) error {
 // stage's subgraph — so a program written with Broadcast runs unchanged
 // on a tree or subgraph stage.
 func (c *Ctx) Broadcast(words ...int64) error {
-	for _, h := range c.Neighbors() {
-		if !c.Allowed(h.ID) {
+	return c.BroadcastExcept(nil, words...)
+}
+
+// BroadcastExcept is Broadcast minus the adjacency slots for which skip
+// returns true (nil skips none). It is the receiver-aware send of the
+// monotone relaxation and flood programs: a vertex skips neighbour u
+// when u's own earlier message already proves the offer cannot beat
+// u's current value. Such a program keeps, per slot, the best value it
+// has heard from that neighbour; values only improve, so the heard one
+// bounds u's current one, and a skipped message would have failed u's
+// strict improvement test under any delivery schedule. Outputs and
+// per-vertex state trajectories are those of the plain Broadcast; only
+// messages (and trailing rounds) are saved. skip must not allocate: it
+// runs on the allocation-free round path.
+func (c *Ctx) BroadcastExcept(skip func(slot int, h graph.Half) bool, words ...int64) error {
+	for slot, h := range c.Neighbors() {
+		if !c.Allowed(h.ID) || (skip != nil && skip(slot, h)) {
 			continue
 		}
 		if err := c.Send(h.ID, words...); err != nil {
@@ -168,4 +183,20 @@ func (c *Ctx) Broadcast(words ...int64) error {
 		}
 	}
 	return nil
+}
+
+// HeardTable returns buf resized to one entry per adjacency slot of the
+// context's vertex, every entry set to none, reusing buf's capacity. It
+// is the per-slot "best value heard from this neighbour" state that a
+// BroadcastExcept program consults; programs reset it in Init.
+func HeardTable[T any](ctx *Ctx, buf []T, none T) []T {
+	d := ctx.Degree()
+	if cap(buf) < d {
+		buf = make([]T, d)
+	}
+	buf = buf[:d]
+	for i := range buf {
+		buf[i] = none
+	}
+	return buf
 }

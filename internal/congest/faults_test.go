@@ -383,7 +383,9 @@ func TestStageRetriesExhausted(t *testing.T) {
 
 // Under message drops a stage may finish with a broken invariant; the
 // validator catches it and retry converges, because each attempt runs
-// at later absolute rounds and therefore sees fresh fault draws.
+// at later absolute rounds and therefore sees fresh fault draws. The
+// always-broadcast flood-min twin keeps the per-attempt round counts,
+// and so the draws, that this plan was chosen for.
 func TestStageRetryRecoversFromDrops(t *testing.T) {
 	g := graph.Cycle(12, 1)
 	pipe := NewPipeline(g, Options{Seed: 1, MaxRounds: 256,
@@ -395,7 +397,7 @@ func TestStageRetryRecoversFromDrops(t *testing.T) {
 		}
 	}
 	_, err := pipe.RunStage("elect", func(graph.Vertex) Program {
-		return &floodMinProgram{min: minID}
+		return &alwaysFloodMin{min: minID}
 	},
 		Validate(func() error {
 			for v, m := range minID {

@@ -13,7 +13,9 @@ import (
 // new net points) and of the §7 bounded explorations: each message
 // carries one (source, distance) pair, so the per-round per-edge budget
 // is respected without pipelining — a vertex only ever forwards its
-// single current best.
+// single current best, and skips the neighbours whose own announced
+// pair already beats or ties it in the (dist, src) order the receiver
+// tests (see Ctx.BroadcastExcept).
 type nearestSourceProgram struct {
 	NoPhases
 	isSource []bool
@@ -21,40 +23,55 @@ type nearestSourceProgram struct {
 	dist     []float64      // shared
 	nearest  []graph.Vertex // shared
 
-	mine  float64
-	src   graph.Vertex
+	best  distSrc
 	fresh bool
+	heard []distSrc // per slot: least pair heard from that neighbour
+}
+
+// distSrc is a (distance, source) announcement. The relaxation keeps
+// the least pair in the lexicographic order of less, so distance ties
+// go to the smaller source id.
+type distSrc struct {
+	dist float64
+	src  graph.Vertex
+}
+
+func (a distSrc) less(b distSrc) bool {
+	return a.dist < b.dist || (a.dist == b.dist && a.src < b.src)
 }
 
 func (p *nearestSourceProgram) Init(ctx *Ctx) {
-	p.mine = math.Inf(1)
-	p.src = graph.NoVertex
-	if p.isSource[ctx.V()] {
-		p.mine = 0
-		p.src = ctx.V()
+	v := ctx.V()
+	p.best = distSrc{math.Inf(1), graph.NoVertex}
+	p.heard = HeardTable(ctx, p.heard, p.best)
+	if p.isSource[v] {
+		p.best = distSrc{0, v}
 		p.fresh = true
 		ctx.Stay()
 	}
-	p.dist[ctx.V()] = p.mine
-	p.nearest[ctx.V()] = p.src
+	p.dist[v], p.nearest[v] = p.best.dist, p.best.src
 }
 
 func (p *nearestSourceProgram) Handle(ctx *Ctx, inbox []Message) {
+	v := ctx.V()
 	for _, m := range inbox {
-		d := math.Float64frombits(uint64(m.Words[0]))
-		src := graph.Vertex(m.Words[1])
-		w := ctx.engineEdgeWeight(m.Via)
-		if nd := d + w; nd < p.mine || (nd == p.mine && src < p.src) {
-			p.mine = nd
-			p.src = src
+		got := distSrc{math.Float64frombits(uint64(m.Words[0])), graph.Vertex(m.Words[1])}
+		if s := ctx.SlotOf(m.Via); got.less(p.heard[s]) {
+			p.heard[s] = got
+		}
+		if cand := (distSrc{got.dist + ctx.engineEdgeWeight(m.Via), got.src}); cand.less(p.best) {
+			p.best = cand
 			p.fresh = true
 		}
 	}
-	p.dist[ctx.V()] = p.mine
-	p.nearest[ctx.V()] = p.src
+	p.dist[v], p.nearest[v] = p.best.dist, p.best.src
 	if p.fresh && ctx.Round() <= p.hops {
 		p.fresh = false
-		if err := ctx.Broadcast(int64(math.Float64bits(p.mine)), int64(p.src)); err != nil {
+		best := p.best
+		if err := ctx.BroadcastExcept(func(s int, h graph.Half) bool {
+			offer := distSrc{best.dist + ctx.engineEdgeWeight(h.ID), best.src}
+			return !offer.less(p.heard[s])
+		}, int64(math.Float64bits(best.dist)), int64(best.src)); err != nil {
 			ctx.Fail(err)
 		}
 	}
@@ -77,4 +94,9 @@ func RunNearestSource(g *graph.Graph, sources []graph.Vertex, h int, seed int64)
 	}, Options{Seed: seed, MaxRounds: h + g.N() + 64})
 	stats, err := eng.Run()
 	return dist, nearest, stats, err
+}
+
+// engineEdgeWeight exposes edge weights to programs.
+func (c *Ctx) engineEdgeWeight(id graph.EdgeID) float64 {
+	return c.engine.g.Edge(id).W
 }

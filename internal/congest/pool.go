@@ -92,7 +92,7 @@ func (sp *StagePools) BFS(n int, root graph.Vertex, parent []graph.EdgeID, depth
 	slots := sp.bfs.Slots(n)
 	return func(v graph.Vertex) Program {
 		p := &slots[v]
-		*p = bfsProgram{root: root, depth: depth, parent: parent}
+		*p = bfsProgram{root: root, depth: depth, parent: parent, heard: p.heard}
 		return p
 	}
 }

@@ -16,18 +16,24 @@ import (
 // engine), runs the engine, and returns results plus measured
 // statistics.
 
-// bfsProgram builds a BFS tree by layered flooding: O(D) rounds.
+// bfsProgram builds a BFS tree by layered flooding: O(D) rounds. A
+// vertex announces its depth to every neighbour except those whose own
+// announced depth is already at most one more (see BroadcastExcept):
+// its parent among them, so the flood sends at most 2M−(N−1) messages,
+// and exactly N−1 on a tree.
 type bfsProgram struct {
 	NoPhases
 	root   graph.Vertex
 	depth  []int32        // shared
 	parent []graph.EdgeID // shared
+	heard  []int32        // per slot: least depth heard from that neighbour
 }
 
 func (p *bfsProgram) Init(ctx *Ctx) {
 	v := ctx.V()
 	p.depth[v] = -1
 	p.parent[v] = graph.NoEdge
+	p.heard = HeardTable(ctx, p.heard, math.MaxInt32)
 	if v == p.root {
 		p.depth[v] = 0
 		if err := ctx.Broadcast(0); err != nil {
@@ -40,15 +46,21 @@ func (p *bfsProgram) Handle(ctx *Ctx, inbox []Message) {
 	v := ctx.V()
 	improved := false
 	for _, m := range inbox {
-		d := int32(m.Words[0]) + 1
-		if p.depth[v] < 0 || d < p.depth[v] {
+		d := int32(m.Words[0])
+		if s := ctx.SlotOf(m.Via); d < p.heard[s] {
+			p.heard[s] = d
+		}
+		if d++; p.depth[v] < 0 || d < p.depth[v] {
 			p.depth[v] = d
 			p.parent[v] = m.Via
 			improved = true
 		}
 	}
 	if improved {
-		if err := ctx.Broadcast(int64(p.depth[v])); err != nil {
+		offer := p.depth[v] + 1
+		if err := ctx.BroadcastExcept(func(s int, _ graph.Half) bool {
+			return offer >= p.heard[s]
+		}, int64(p.depth[v])); err != nil {
 			ctx.Fail(err)
 		}
 	}
@@ -74,13 +86,17 @@ func RunBFSWorkers(g *graph.Graph, root graph.Vertex, seed int64, workers int) (
 }
 
 // floodMinProgram makes every vertex learn the minimum vertex id in its
-// connected component (leader election): O(D) rounds.
+// connected component (leader election): O(D) rounds. An improved
+// minimum skips the neighbours that already announced one at least as
+// small (see BroadcastExcept).
 type floodMinProgram struct {
 	NoPhases
-	min []int64 // shared
+	min   []int64 // shared
+	heard []int64 // per slot: least id heard from that neighbour
 }
 
 func (p *floodMinProgram) Init(ctx *Ctx) {
+	p.heard = HeardTable(ctx, p.heard, math.MaxInt64)
 	p.min[ctx.V()] = int64(ctx.V())
 	if err := ctx.Broadcast(p.min[ctx.V()]); err != nil {
 		ctx.Fail(err)
@@ -91,13 +107,19 @@ func (p *floodMinProgram) Handle(ctx *Ctx, inbox []Message) {
 	v := ctx.V()
 	improved := false
 	for _, m := range inbox {
+		if s := ctx.SlotOf(m.Via); m.Words[0] < p.heard[s] {
+			p.heard[s] = m.Words[0]
+		}
 		if m.Words[0] < p.min[v] {
 			p.min[v] = m.Words[0]
 			improved = true
 		}
 	}
 	if improved {
-		if err := ctx.Broadcast(p.min[v]); err != nil {
+		mine := p.min[v]
+		if err := ctx.BroadcastExcept(func(s int, _ graph.Half) bool {
+			return mine >= p.heard[s]
+		}, mine); err != nil {
 			ctx.Fail(err)
 		}
 	}
@@ -192,9 +214,14 @@ func RunBroadcastAll(g *graph.Graph, tokens map[graph.Vertex][]int64, seed int64
 }
 
 // floodWordProgram floods one word from src to every vertex: each vertex
-// stores the first copy it receives and re-broadcasts once. O(D) rounds,
-// at most 2M messages. Under Restrict the flood stays inside the stage's
-// subgraph.
+// stores the first copy it receives and forwards it once, to every
+// neighbour except those it arrived from (they hold it already; see
+// BroadcastExcept). A vertex forwards in the round of its first inbox
+// and has heard from no neighbour before, so that inbox is its whole
+// per-slot "heard" state and no table is kept. O(D) rounds; at most
+// 2M−(N−1) messages, since every vertex but src skips at least one
+// edge, and exactly N−1 on a tree. Under Restrict the flood stays
+// inside the stage's subgraph.
 type floodWordProgram struct {
 	NoPhases
 	src  graph.Vertex
@@ -219,65 +246,14 @@ func (p *floodWordProgram) Handle(ctx *Ctx, inbox []Message) {
 	}
 	p.have = true
 	p.out[ctx.V()] = inbox[0].Words[0]
-	if err := ctx.Broadcast(p.out[ctx.V()]); err != nil {
+	if err := ctx.BroadcastExcept(func(_ int, h graph.Half) bool {
+		for _, m := range inbox {
+			if m.Via == h.ID {
+				return true
+			}
+		}
+		return false
+	}, p.out[ctx.V()]); err != nil {
 		ctx.Fail(err)
 	}
-}
-
-// bellmanFordProgram runs h rounds of distributed Bellman-Ford from a
-// source; each vertex ends with its h-hop-bounded distance.
-type bellmanFordProgram struct {
-	NoPhases
-	src   graph.Vertex
-	hops  int
-	dist  []float64 // shared
-	mine  float64
-	fresh bool
-}
-
-func (p *bellmanFordProgram) Init(ctx *Ctx) {
-	p.mine = math.Inf(1)
-	if ctx.V() == p.src {
-		p.mine = 0
-		p.fresh = true
-		ctx.Stay()
-	}
-	p.dist[ctx.V()] = p.mine
-}
-
-func (p *bellmanFordProgram) Handle(ctx *Ctx, inbox []Message) {
-	for _, m := range inbox {
-		d := math.Float64frombits(uint64(m.Words[0]))
-		w := ctx.engineEdgeWeight(m.Via)
-		if d+w < p.mine {
-			p.mine = d + w
-			p.fresh = true
-		}
-	}
-	p.dist[ctx.V()] = p.mine
-	// Relaxations sent in round r are received in round r+1; sending in
-	// rounds 1..h yields exactly h-hop paths.
-	if p.fresh && ctx.Round() <= p.hops {
-		p.fresh = false
-		if err := ctx.Broadcast(int64(math.Float64bits(p.mine))); err != nil {
-			ctx.Fail(err)
-		}
-	}
-}
-
-// engineEdgeWeight exposes edge weights to programs.
-func (c *Ctx) engineEdgeWeight(id graph.EdgeID) float64 {
-	return c.engine.g.Edge(id).W
-}
-
-// RunBellmanFord runs h rounds of distributed Bellman-Ford and returns
-// the h-hop-bounded distances from src. With h >= n-1 this is exact
-// SSSP.
-func RunBellmanFord(g *graph.Graph, src graph.Vertex, h int, seed int64) ([]float64, Stats, error) {
-	dist := make([]float64, g.N())
-	eng := NewEngine(g, func(graph.Vertex) Program {
-		return &bellmanFordProgram{src: src, hops: h, dist: dist}
-	}, Options{Seed: seed, MaxRounds: h + g.N() + 64})
-	stats, err := eng.Run()
-	return dist, stats, err
 }

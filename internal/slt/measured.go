@@ -24,6 +24,15 @@ package slt
 //	final-spt   Bellman-Ford restricted to H          §4 step 5
 //	final-dist  true-distance downcast                (re-measuring)
 //
+// Messages per stage: bfs, tree, spt and final-spt send receiver-aware
+// (congest.Ctx.BroadcastExcept) — a vertex skips each neighbour whose
+// own last announcement shows the offer cannot improve it. So bfs sends
+// at most 2m−(n−1) messages (no vertex answers its parent), tree exactly
+// n−1 (one per MST edge, parent to child), and each Bellman-Ford
+// improvement goes only to the neighbours it can still improve; every
+// output and per-vertex state trajectory is that of the always-broadcast
+// programs, and a stage can only end earlier.
+//
 // The output tree is bit-identical to the Accounted builder's for the
 // same seed (asserted by TestMeasuredMatchesAccounted): every float that
 // flows into the tree is computed by the same operations in the same

@@ -85,9 +85,10 @@ type headTuple struct {
 }
 
 // deriveChildren lists v's tree children sorted by id. Legitimate local
-// knowledge: the tree stage's BFS flood delivered every tree neighbor's
-// depth over the connecting edge, so each endpoint knows which side is
-// the parent.
+// knowledge: v's children are its tree edges (inTree, set at the edge's
+// endpoints by the mst stage) other than the parent edge the tree stage
+// chose at v. The tree stage sends only parent to child, so v never
+// hears from its children there; it needs no message to know them.
 func (st *mstate) deriveChildren(ctx *congest.Ctx) []child {
 	v := ctx.V()
 	var out []child
@@ -143,7 +144,11 @@ func (t *vtour) appearanceAt(pos int64) int {
 // (1+eps)-approximate SPT of §4's [BKKL17] substitute. Because pw is
 // generic (hash-perturbed), the SPT is unique and the parent set equals
 // the accounted Dijkstra's bit-for-bit. Under Restrict(H) the same
-// program performs the Step-5 pass inside H.
+// program performs the Step-5 pass inside H. An improved distance skips
+// the neighbours whose own announced distance it cannot beat across the
+// edge (congest.Ctx.BroadcastExcept): those copies would fail the
+// receiver's strict test, so the output is unchanged and only messages
+// are saved.
 type sptProg struct {
 	congest.NoPhases
 	src    graph.Vertex
@@ -151,12 +156,14 @@ type sptProg struct {
 	parent []graph.EdgeID // shared output
 	mine   float64
 	fresh  bool
+	heard  []float64 // per slot: least distance heard from that neighbour
 }
 
 func (p *sptProg) Init(ctx *congest.Ctx) {
 	v := ctx.V()
 	p.parent[v] = graph.NoEdge
 	p.mine = math.Inf(1)
+	p.heard = congest.HeardTable(ctx, p.heard, math.Inf(1))
 	if v == p.src {
 		p.mine = 0
 		if err := ctx.Broadcast(int64(math.Float64bits(0))); err != nil {
@@ -169,6 +176,9 @@ func (p *sptProg) Handle(ctx *congest.Ctx, inbox []congest.Message) {
 	v := ctx.V()
 	for _, m := range inbox {
 		d := math.Float64frombits(uint64(m.Words[0]))
+		if s := ctx.SlotOf(m.Via); d < p.heard[s] {
+			p.heard[s] = d
+		}
 		if nd := d + p.pw[m.Via]; nd < p.mine {
 			p.mine = nd
 			p.parent[v] = m.Via
@@ -177,7 +187,10 @@ func (p *sptProg) Handle(ctx *congest.Ctx, inbox []congest.Message) {
 	}
 	if p.fresh {
 		p.fresh = false
-		if err := ctx.Broadcast(int64(math.Float64bits(p.mine))); err != nil {
+		mine := p.mine
+		if err := ctx.BroadcastExcept(func(s int, h graph.Half) bool {
+			return mine+p.pw[h.ID] >= p.heard[s]
+		}, int64(math.Float64bits(mine))); err != nil {
 			ctx.Fail(err)
 		}
 	}
@@ -672,7 +685,7 @@ func (pl *sltPools) sptFactory(n int, src graph.Vertex, pw []float64, parent []g
 	slots := pl.spt.Slots(n)
 	return func(v graph.Vertex) congest.Program {
 		p := &slots[v]
-		*p = sptProg{src: src, pw: pw, parent: parent}
+		*p = sptProg{src: src, pw: pw, parent: parent, heard: p.heard}
 		return p
 	}
 }

@@ -26,6 +26,11 @@ package spanner
 // to that bucket's edges; the spanner is the union of the kept edges with
 // the MST.
 //
+// Messages per stage: bfs and mst-weight-down send receiver-aware
+// (congest.Ctx.BroadcastExcept) — bfs skips the neighbours whose own
+// depth announcement it cannot improve, mst-weight-down the neighbours
+// that already sent L — so each sends at most 2m−(n−1) messages.
+//
 // mst-weight-up takes 3D+1 rounds on a BFS tree of depth D and sends
 // 4(n−1) messages: children announce themselves, a max-convergecast of
 // Float64bits(w) over each vertex's MST edges gives W_max, W_max goes
